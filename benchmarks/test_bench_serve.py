@@ -4,8 +4,8 @@ Performance-regression guard for ``repro.serve``: at 64 concurrent
 in-process clients issuing small sense requests, the micro-batched service
 (requests coalesced into fused vectorized batches) must clear >= 3x the
 throughput of the same service forced to execute one request at a time
-(``max_batch_size=1``, no coalescing window, one worker) — the
-configuration that models a naive request-per-call server.
+(``max_batch_size=1``, one worker) — the configuration that models a
+naive request-per-call server.
 
 The workload is deliberately small per request (64-sample chirp, 2 frames,
 noise-free static-clutter scene in a small room): per-request dispatch
@@ -53,10 +53,10 @@ def best_of(fn, rounds=3):
     return min(elapsed)
 
 
-BATCHED = ServiceConfig(max_batch_size=32, batch_window_ms=2.0,
-                        queue_depth=2 * NUM_CLIENTS, workers=2)
-SEQUENTIAL = ServiceConfig(max_batch_size=1, batch_window_ms=0.0,
-                           queue_depth=2 * NUM_CLIENTS, workers=1)
+BATCHED = ServiceConfig(max_batch_size=32, queue_depth=2 * NUM_CLIENTS,
+                        workers=2)
+SEQUENTIAL = ServiceConfig(max_batch_size=1, queue_depth=2 * NUM_CLIENTS,
+                           workers=1)
 
 
 @pytest.mark.benchmark(group="serve")

@@ -24,8 +24,8 @@ from repro.serve.app import build_demo_scene
 
 def main() -> None:
     scene, radar_config = build_demo_scene()
-    service_config = ServiceConfig(max_batch_size=16, batch_window_ms=5.0,
-                                   queue_depth=128, workers=2)
+    service_config = ServiceConfig(max_batch_size=16, queue_depth=128,
+                                   workers=2)
 
     with InProcessClient(service_config,
                          default_radar_config=radar_config) as client:
@@ -44,8 +44,7 @@ def main() -> None:
     print(f"served {len(responses)} concurrent sense requests "
           f"(backends: {', '.join(backends)})")
     print(f"batch sizes seen: {batch_sizes} "
-          f"(max_batch={service_config.max_batch_size}, "
-          f"window={service_config.batch_window_ms}ms)")
+          f"(max_batch={service_config.max_batch_size})")
 
     counters = snapshot["counters"]
     latency = snapshot["histograms"]["request.latency_s"]

@@ -45,7 +45,6 @@ __all__ = [
     "PIPELINE_BACKEND_VAR",
     "SCENARIO_SEED_VAR",
     "SCENARIO_VAR",
-    "SERVE_BATCH_WINDOW_MS_VAR",
     "SERVE_DEADLINE_S_VAR",
     "SERVE_MAX_BATCH_VAR",
     "SERVE_QUEUE_DEPTH_VAR",
@@ -65,7 +64,6 @@ __all__ = [
     "get_pipeline_backend",
     "get_scenario_name",
     "get_scenario_seed",
-    "get_serve_batch_window_ms",
     "get_serve_deadline_s",
     "get_serve_max_batch",
     "get_serve_queue_depth",
@@ -222,33 +220,16 @@ def _positive_int_parser(var_name: str) -> Callable[[str], int]:
     return parse
 
 
-def _positive_float_parser(var_name: str, *,
-                           allow_zero: bool = False) -> Callable[[str], float]:
-    """A parser accepting positive (optionally zero) finite floats."""
+def _positive_float_parser(var_name: str) -> Callable[[str], float]:
+    """A parser accepting positive finite floats."""
     def parse(raw: str) -> float:
         value = float(raw.strip())
         if not math.isfinite(value):
             raise ConfigurationError(f"{var_name} must be finite, got {value}")
-        if value < 0 or (value == 0 and not allow_zero):
-            bound = ">= 0" if allow_zero else "> 0"
-            raise ConfigurationError(
-                f"{var_name} must be {bound}, got {value}"
-            )
+        if value <= 0:
+            raise ConfigurationError(f"{var_name} must be > 0, got {value}")
         return value
     return parse
-
-
-SERVE_BATCH_WINDOW_MS_VAR: EnvVar[float] = _register(
-    EnvVar(
-        name="RF_PROTECT_SERVE_BATCH_WINDOW_MS",
-        default=2.0,
-        parse=_positive_float_parser("RF_PROTECT_SERVE_BATCH_WINDOW_MS",
-                                     allow_zero=True),
-        description="micro-batching window in milliseconds: how long the "
-                    "sensing service holds an open batch for more compatible "
-                    "requests before flushing it (0 flushes immediately)",
-    )
-)
 
 
 SERVE_MAX_BATCH_VAR: EnvVar[int] = _register(
@@ -481,11 +462,6 @@ def get_nn_dtype(environ: Mapping[str, str] | None = None) -> str:
     return NN_DTYPE_VAR.read(environ)
 
 
-def get_serve_batch_window_ms(environ: Mapping[str, str] | None = None) -> float:
-    """Micro-batching window (ms), from ``RF_PROTECT_SERVE_BATCH_WINDOW_MS``."""
-    return SERVE_BATCH_WINDOW_MS_VAR.read(environ)
-
-
 def get_serve_max_batch(environ: Mapping[str, str] | None = None) -> int:
     """Largest coalesced batch size, from ``RF_PROTECT_SERVE_MAX_BATCH``."""
     return SERVE_MAX_BATCH_VAR.read(environ)
@@ -540,7 +516,6 @@ ENV_ACCESSORS: dict[str, Callable[[Mapping[str, str] | None], object]] = {
     "RF_PROTECT_PIPELINE": get_pipeline_backend,
     "RF_PROTECT_NN_BACKEND": get_nn_backend,
     "RF_PROTECT_NN_DTYPE": get_nn_dtype,
-    "RF_PROTECT_SERVE_BATCH_WINDOW_MS": get_serve_batch_window_ms,
     "RF_PROTECT_SERVE_MAX_BATCH": get_serve_max_batch,
     "RF_PROTECT_SERVE_QUEUE_DEPTH": get_serve_queue_depth,
     "RF_PROTECT_SERVE_DEADLINE_S": get_serve_deadline_s,

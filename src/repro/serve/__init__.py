@@ -7,7 +7,7 @@ one simulation host. This package turns the core into a *service*:
 
 - :class:`SenseRequest` / :class:`SenseResponse` — the request/response
   shapes (scene + radar config + seed in; result + serving telemetry out).
-- :class:`MicroBatcher` — the pure flush-on-size-or-window batching policy.
+- :class:`MicroBatcher` — the pure pull-based batching policy.
 - :mod:`repro.serve.engine` — fused multi-request execution on the
   vectorized synthesis/receive kernels, with per-request naive fallback.
 - :class:`SenseService` — the asyncio scheduler: bounded admission,

@@ -182,7 +182,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     scene, radar_config = build_demo_scene(scenario=scenario)
     service_config = ServiceConfig.from_env()
     print(f"serving: max_batch={service_config.max_batch_size}, "
-          f"window={service_config.batch_window_ms}ms, "
           f"queue_depth={service_config.queue_depth}, "
           f"workers={service_config.workers}")
 

@@ -1,28 +1,31 @@
-"""The dynamic micro-batching core: pure, synchronous, event-driven.
+"""The dynamic micro-batching core: pure, synchronous, clock-free.
 
 This is the scheduler's brain, deliberately free of asyncio, clocks, and
-I/O: callers push ``(key, item)`` pairs with explicit timestamps and poll
-for due flushes. Keeping the policy pure makes it exhaustively testable —
-``tests/test_serve_property.py`` drives it with hypothesis-generated
-arrival patterns and proves the conservation laws (nothing lost, nothing
-duplicated, no batch over size, homogeneous keys, bounded holding time)
-without a single sleep.
+I/O: callers ``add`` ``(key, item)`` pairs and ``take`` batches whenever
+a worker is free to run one. Keeping the policy pure makes it exhaustively
+testable — ``tests/test_serve_property.py`` drives it with
+hypothesis-generated arrival/take interleavings and proves the laws
+(nothing lost, nothing duplicated, no batch over size, homogeneous keys,
+oldest-first order, no starvation) without a single sleep.
 
-Policy, matching the classic dynamic-batching recipe (flush on *max batch
-size* or *max latency*, whichever comes first):
+Policy (pull-based batching: a batch is formed when a worker asks, never
+on a timer):
 
-- each distinct key has at most one **open batch**;
-- an arrival joins its key's open batch (creating it if absent, stamping
-  the batch's window from the *first* arrival);
-- a batch flushes immediately when it reaches ``max_batch_size``
-  (reason ``"size"``), or at the first ``poll`` whose ``now`` is past
-  ``opened_at + window_s`` (reason ``"window"``);
-- ``drain`` flushes everything regardless of age (service shutdown).
+- arrivals are held per key, in arrival order;
+- ``take`` picks the key whose oldest held item arrived first and hands
+  out up to ``max_batch_size`` of its items; a remainder keeps its age
+  priority: it ranks by its own oldest item, not by when it was split;
+- ``drain`` takes until nothing is held.
+
+An idle consumer therefore takes a lone arrival at once, while a busy one
+finds everything that arrived during its last batch waiting to ride the
+next one together.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
 from typing import Generic, Hashable, TypeVar
 
 from repro.errors import ConfigurationError
@@ -35,112 +38,73 @@ T = TypeVar("T")
 
 @dataclasses.dataclass(frozen=True)
 class Batch(Generic[K, T]):
-    """One flushed batch: a key-homogeneous group of items.
-
-    Attributes:
-        key: the compatibility key every item shares.
-        items: the items in admission order.
-        opened_at: timestamp of the first arrival (the window anchor).
-        flushed_at: timestamp of the flush decision.
-        reason: ``"size"``, ``"window"``, or ``"drain"``.
-    """
+    """One taken batch: a key-homogeneous group of items in arrival order."""
 
     key: K
     items: tuple[T, ...]
-    opened_at: float
-    flushed_at: float
-    reason: str
 
     def __len__(self) -> int:
         return len(self.items)
 
 
-@dataclasses.dataclass
-class _OpenBatch(Generic[T]):
-    opened_at: float
-    items: list[T]
-
-
 class MicroBatcher(Generic[K, T]):
-    """Groups arrivals by key; flushes on size or window expiry."""
+    """Holds arrivals per key; hands out the oldest key's items on ``take``."""
 
-    def __init__(self, max_batch_size: int, window_s: float) -> None:
+    def __init__(self, max_batch_size: int) -> None:
         if max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {max_batch_size}"
             )
-        if window_s < 0:
-            raise ConfigurationError(
-                f"window_s must be >= 0, got {window_s}"
-            )
         self.max_batch_size = max_batch_size
-        self.window_s = window_s
-        # Insertion-ordered: ties between simultaneously due groups flush
-        # in first-opened order, keeping the scheduler deterministic for a
-        # given arrival sequence.
-        self._open: dict[K, _OpenBatch[T]] = {}
+        # Each held item carries its arrival number, which orders keys by
+        # the age of their oldest item without reading a clock.
+        self._held: dict[K, deque[tuple[int, T]]] = {}
+        self._arrivals = 0
 
     def pending_count(self) -> int:
-        """Items currently held in open (unflushed) batches."""
-        return sum(len(open_batch.items) for open_batch in self._open.values())
+        """Items currently held (added and not yet taken)."""
+        return sum(len(held) for held in self._held.values())
 
-    def add(self, key: K, item: T, now: float) -> Batch[K, T] | None:
-        """Admit one item; returns the flushed batch if it filled up.
+    def add(self, key: K, item: T) -> None:
+        """Hold one item under its key until a ``take`` hands it out."""
+        self._held.setdefault(key, deque()).append((self._arrivals, item))
+        self._arrivals += 1
 
-        A ``window_s`` of zero means "no coalescing": every arrival flushes
-        its (singleton or size-capped) batch immediately.
+    def take(self) -> Batch[K, T] | None:
+        """Up to ``max_batch_size`` items of the key holding the oldest item.
+
+        Returns ``None`` when nothing is held.
         """
-        open_batch = self._open.get(key)
-        if open_batch is None:
-            open_batch = _OpenBatch(opened_at=now, items=[])
-            self._open[key] = open_batch
-        open_batch.items.append(item)
-        if len(open_batch.items) >= self.max_batch_size:
-            return self._flush(key, now, "size")
-        if self.window_s == 0.0:
-            return self._flush(key, now, "window")
-        return None
-
-    def due(self, now: float) -> list[Batch[K, T]]:
-        """Flush every open batch whose latency window has expired."""
-        expired = [
-            key for key, open_batch in self._open.items()
-            if now - open_batch.opened_at >= self.window_s
-        ]
-        return [self._flush(key, now, "window") for key in expired]
-
-    def next_due_at(self) -> float | None:
-        """When the earliest open batch's window expires; ``None`` if idle."""
-        if not self._open:
+        if not self._held:
             return None
-        earliest = min(
-            open_batch.opened_at for open_batch in self._open.values()
-        )
-        return earliest + self.window_s
+        key = min(self._held, key=lambda k: self._held[k][0][0])
+        held = self._held[key]
+        count = min(len(held), self.max_batch_size)
+        items = tuple(held.popleft()[1] for _ in range(count))
+        if not held:
+            del self._held[key]
+        return Batch(key=key, items=items)
 
-    def drain(self, now: float) -> list[Batch[K, T]]:
-        """Flush everything immediately (shutdown path)."""
-        return [self._flush(key, now, "drain") for key in list(self._open)]
+    def drain(self) -> list[Batch[K, T]]:
+        """Take everything still held, oldest key first."""
+        batches: list[Batch[K, T]] = []
+        while (batch := self.take()) is not None:
+            batches.append(batch)
+        return batches
 
-    def remove(self, key: K, predicate_item: T) -> bool:
-        """Drop one held item (deadline expiry while still unflushed).
+    def remove(self, key: K, item: T) -> bool:
+        """Drop one held item; returns whether it was found and removed.
 
-        Returns whether the item was found and removed; an emptied batch is
-        closed so it cannot flush as a zero-item group.
+        An emptied key is closed so it can never be taken as a zero-item
+        batch.
         """
-        open_batch = self._open.get(key)
-        if open_batch is None:
+        held = self._held.get(key)
+        if held is None:
             return False
-        try:
-            open_batch.items.remove(predicate_item)
-        except ValueError:
-            return False
-        if not open_batch.items:
-            del self._open[key]
-        return True
-
-    def _flush(self, key: K, now: float, reason: str) -> Batch[K, T]:
-        open_batch = self._open.pop(key)
-        return Batch(key=key, items=tuple(open_batch.items),
-                     opened_at=open_batch.opened_at, flushed_at=now,
-                     reason=reason)
+        for entry in held:
+            if entry[1] == item:
+                held.remove(entry)
+                if not held:
+                    del self._held[key]
+                return True
+        return False

@@ -85,8 +85,8 @@ class InProcessClient:
         """Submit a burst of requests, then collect responses in order.
 
         The whole burst crosses into the event loop in a single hop and the
-        submits are scheduled back to back, so the scheduler sees all of
-        them inside one coalescing window. Responses come back in request
+        submits are scheduled back to back, so all of them are held before
+        a woken worker takes its batch. Responses come back in request
         order; the first per-request failure (e.g. admission rejection) is
         re-raised after the burst settles.
         """

@@ -19,10 +19,13 @@ vectorized engines end to end:
    frame re-zeroed (frame 0 of a request has no predecessor — exactly the
    reference warmup), and one cube-wide lag-vector pass. Only the final
    thin GEMM (:func:`~repro.radar.pipeline.beamform_from_lags_stacked`)
-   keeps per-request shape: requests with equal frame counts share one
-   stacked matmul whose slices are exactly the per-request GEMMs, so every
-   output has shapes that depend only on the request itself — results are
-   bitwise independent of how the scheduler grouped them.
+   runs per request, so every output has shapes that depend only on the
+   request itself — results are bitwise independent of how the scheduler
+   grouped them.
+4. **Per-request ownership** — each result owns its arrays: its raw
+   profiles are copied out of the fused cube and its power cube is its own
+   GEMM output, so a caller keeping one response keeps only that
+   request's bytes, never its batch-mates'.
 
 The fused passes are bound as explicit kernels of the stage graph
 (:mod:`repro.radar.stages`) and run through the same instrumented
@@ -174,7 +177,7 @@ def _fused_subtract(ctx: ExecutionContext) -> None:
 
 
 def _fused_beamform(ctx: ExecutionContext) -> None:
-    """Cube-wide lag vectors, then per-request-shaped stacked GEMMs."""
+    """Cube-wide lag vectors, then one GEMM per request."""
     radar: FmcwRadar = ctx.workspace["radar"]
     angles = ctx.config.angle_grid()
     angles.flags.writeable = False
@@ -187,27 +190,18 @@ def _fused_beamform(ctx: ExecutionContext) -> None:
     num_bins = int(ranges.shape[0])
     num_angles = int(angles.shape[0])
 
-    # Per-request-shaped GEMMs: each output's shape depends only on its own
-    # request, keeping results bitwise independent of the batch grouping.
-    # Requests with equal frame counts share one stacked matmul whose
-    # slices are exactly those per-request GEMMs.
+    # Per-request GEMMs (a stack of one): each output's shape depends only
+    # on its own request, keeping results bitwise independent of the batch
+    # grouping, and each request's power cube owns its own memory.
     frame_offsets = np.concatenate(([0], np.cumsum(frame_counts)))
-    by_frame_count: dict[int, list[int]] = {}
-    for i, count in enumerate(frame_counts):
-        by_frame_count.setdefault(count, []).append(i)
-    power_cubes: dict[int, np.ndarray] = {}
-    for num_frames, group in by_frame_count.items():
-        rows = num_frames * num_bins
-        stack = np.stack([
-            lag_vectors[frame_offsets[i] * num_bins:
-                        frame_offsets[i] * num_bins + rows]
-            for i in group
-        ])
-        power = beamform_from_lags_stacked(stack, radar.array, angles)
-        for slot, i in enumerate(group):
-            cube = power[slot].reshape(num_frames, num_bins, num_angles)
-            cube.flags.writeable = False
-            power_cubes[i] = cube
+    power_cubes: list[np.ndarray] = []
+    for num_frames, start in zip(frame_counts, frame_offsets):
+        rows = lag_vectors[start * num_bins:(start + num_frames) * num_bins]
+        power = beamform_from_lags_stacked(rows[np.newaxis], radar.array,
+                                           angles)
+        cube = power[0].reshape(num_frames, num_bins, num_angles)
+        cube.flags.writeable = False
+        power_cubes.append(cube)
     ctx.workspace["angles"] = angles
     ctx.workspace["frame_offsets"] = frame_offsets
     ctx.workspace["power_cubes"] = power_cubes
@@ -249,7 +243,7 @@ def _run_group_vectorized(key: BatchKey,
     results: list[SensingResult] = []
     for i, times in enumerate(ctx.workspace["times_list"]):
         frame_slice = slice(int(frame_offsets[i]), int(frame_offsets[i + 1]))
-        raw_slice = raw_profiles[frame_slice]
+        raw_slice = raw_profiles[frame_slice].copy()
         sweep = SweepProcessingResult(raw_profiles=raw_slice,
                                       power_cube=power_cubes[i],
                                       ranges=ranges, angles=angles,
@@ -272,7 +266,7 @@ def _run_single_naive(item: ExecutionItem) -> SensingResult:
 
 
 def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
-    """Execute one flushed batch; never raises, reports per-item outcomes.
+    """Execute one taken batch; never raises, reports per-item outcomes.
 
     Tries the fused vectorized path for the whole group first; on any
     failure, degrades to per-request naive execution so a single poisoned

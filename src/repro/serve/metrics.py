@@ -12,13 +12,15 @@ All instruments are thread-safe: the scheduler mutates them from the event
 loop while the worker pool's executor threads record execution timings.
 Percentiles are estimated from the histogram buckets with linear
 interpolation — deterministic, O(buckets), and honest about its resolution
-(the bucket bounds are the measurement grid).
+(the bucket bounds are the measurement grid). Each histogram also keeps
+the exact minimum and maximum, and no estimate leaves that range.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import threading
 from collections.abc import Sequence
 
@@ -100,6 +102,8 @@ class Histogram:
         self._counts = [0] * (len(edges) + 1)
         self._count = 0
         self._sum = 0.0
+        self._min = math.inf
+        self._max = -math.inf
 
     def observe(self, value: float) -> None:
         value = float(value)
@@ -111,6 +115,8 @@ class Histogram:
         self._counts[index] += 1
         self._count += 1
         self._sum += value
+        self._min = min(self._min, value)
+        self._max = max(self._max, value)
 
     @property
     def count(self) -> int:
@@ -123,9 +129,10 @@ class Histogram:
     def percentile(self, q: float) -> float:
         """Estimated ``q``-quantile (``q`` in [0, 1]) from the buckets.
 
-        Linear interpolation inside the containing bucket; observations in
-        the overflow bucket report the last finite edge (a floor, stated
-        rather than invented).
+        Linear interpolation inside the containing bucket, whose edges are
+        first narrowed to the exact observed minimum and maximum: every
+        estimate lies in ``[min, max]`` and grows with ``q``, and the
+        overflow bucket ends at the observed maximum.
         """
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -133,15 +140,18 @@ class Histogram:
             return 0.0
         rank = q * self._count
         cumulative = 0
-        lower = 0.0
-        for i, bound in enumerate(self.bounds):
-            bucket = self._counts[i]
+        lower = -math.inf
+        for bucket, bound in zip(self._counts, (*self.bounds, math.inf)):
             if cumulative + bucket >= rank and bucket > 0:
+                low = max(lower, self._min)
+                high = min(bound, self._max)
                 within = (rank - cumulative) / bucket
-                return lower + (bound - lower) * min(max(within, 0.0), 1.0)
+                if within >= 1.0:
+                    return high
+                return min(low + (high - low) * within, high)
             cumulative += bucket
             lower = bound
-        return self.bounds[-1]
+        return self._max
 
     def to_dict(self) -> dict[str, object]:
         buckets = [

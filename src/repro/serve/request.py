@@ -13,6 +13,8 @@ range bins).
 from __future__ import annotations
 
 import dataclasses
+import math
+import numbers
 
 from repro.errors import ConfigurationError
 from repro.radar.config import RadarConfig
@@ -52,16 +54,39 @@ class BatchKey:
     max_range: float
 
 
+def _validate_sensing(duration: float, seed: int, max_range: float | None,
+                      deadline_s: float | None) -> None:
+    """Reject what would otherwise fail a whole fused batch at execution."""
+    if not (math.isfinite(duration) and duration > 0):
+        raise ConfigurationError(
+            f"sense duration must be positive and finite, got {duration}"
+        )
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ConfigurationError(
+            f"seed must be a non-negative integer, got {seed!r}"
+        )
+    if max_range is not None and not (math.isfinite(max_range)
+                                      and max_range > 0):
+        raise ConfigurationError(
+            f"max_range must be positive and finite, got {max_range}"
+        )
+    if deadline_s is not None and not deadline_s > 0:
+        raise ConfigurationError(
+            f"deadline_s must be positive, got {deadline_s}"
+        )
+
+
 @dataclasses.dataclass(frozen=True)
 class SenseRequest:
     """One sensing job submitted to the service.
 
     Attributes:
         scene: the room and its entities to sense.
-        duration: sensing span in seconds (must be positive).
-        seed: seed of the per-request ``np.random.Generator``; fixed seed
-            in, bitwise-identical :class:`SensingResult` out, regardless of
-            arrival order or batch grouping.
+        duration: sensing span in seconds (positive and finite).
+        seed: non-negative seed of the per-request
+            ``np.random.Generator``; fixed seed in, bitwise-identical
+            :class:`SensingResult` out, regardless of arrival order or
+            batch grouping.
         config: radar configuration; ``None`` uses the service's default.
         start_time: scene time of the first frame.
         max_range: optional far crop of the range axis; ``None`` derives
@@ -80,18 +105,8 @@ class SenseRequest:
     deadline_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration <= 0:
-            raise ConfigurationError(
-                f"sense duration must be positive, got {self.duration}"
-            )
-        if self.max_range is not None and self.max_range <= 0:
-            raise ConfigurationError(
-                f"max_range must be positive, got {self.max_range}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
+        _validate_sensing(self.duration, self.seed, self.max_range,
+                          self.deadline_s)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,9 +147,9 @@ class TrackRequest:
     Attributes:
         session_id: the session whose tracker ingests the sensed frames.
         scene: the room and its entities to sense.
-        duration: sensing span in seconds (must be positive).
-        seed: seed of the per-request generator (same determinism contract
-            as :class:`SenseRequest`).
+        duration: sensing span in seconds (positive and finite).
+        seed: non-negative seed of the per-request generator (same
+            determinism contract as :class:`SenseRequest`).
         config: radar configuration; ``None`` uses the service's default.
         start_time: scene time of the first frame; ``None`` continues one
             frame interval after the session's last ingested frame (0.0
@@ -155,18 +170,8 @@ class TrackRequest:
     def __post_init__(self) -> None:
         if not self.session_id:
             raise ConfigurationError("session_id must be non-empty")
-        if self.duration <= 0:
-            raise ConfigurationError(
-                f"sense duration must be positive, got {self.duration}"
-            )
-        if self.max_range is not None and self.max_range <= 0:
-            raise ConfigurationError(
-                f"max_range must be positive, got {self.max_range}"
-            )
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ConfigurationError(
-                f"deadline_s must be positive, got {self.deadline_s}"
-            )
+        _validate_sensing(self.duration, self.seed, self.max_range,
+                          self.deadline_s)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -8,14 +8,16 @@ real compute:
   execution; beyond ``queue_depth``, submissions fail fast with
   :class:`~repro.errors.ServiceOverloadedError` instead of growing an
   unbounded backlog (load shedding, not buffering).
-- **Micro-batching** — admitted requests coalesce per
-  :class:`~repro.serve.request.BatchKey`; a batch flushes when it reaches
-  ``max_batch_size`` or when its first request has waited
-  ``batch_window_ms`` (a background flusher task polls the batcher).
-- **Bounded worker pool** — ``workers`` asyncio workers pull flushed
-  batches from a queue and run them on a thread pool (numpy releases the
-  GIL in the kernels that matter), so the event loop never blocks on
-  compute.
+- **Pull-based micro-batching** — admitted requests are held per
+  :class:`~repro.serve.request.BatchKey`. A worker that becomes free takes
+  the held requests of the key whose oldest request has waited longest,
+  up to ``max_batch_size``. An idle service runs a lone request at once;
+  a busy one lets batches grow while its workers compute, and a burst
+  submitted in one loop pass lands before the woken worker takes. No
+  timer is involved.
+- **Bounded worker pool** — ``workers`` asyncio workers run their
+  batches on a thread pool (numpy releases the GIL in the kernels that
+  matter), so the event loop never blocks on compute.
 - **Deadlines and cancellation** — every request carries a deadline from
   admission; a request whose deadline passes while it is still queued is
   failed with :class:`~repro.errors.DeadlineExceededError` *before* any
@@ -29,8 +31,8 @@ real compute:
 - **Tracking sessions** — :meth:`SenseService.submit_tracked` senses
   through the same admission/batching path, then ingests the resulting
   frames into the request's session tracker
-  (:class:`~repro.serve.session.SessionStore`); the flusher additionally
-  runs the store's idle-eviction sweep on its own cadence.
+  (:class:`~repro.serve.session.SessionStore`); a background task runs
+  the store's idle-eviction sweep every ``sweep_interval_s``.
 
 Everything the service does is observable through its
 :class:`~repro.serve.metrics.MetricsRegistry`.
@@ -45,7 +47,6 @@ from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 
 from repro.config import (
-    get_serve_batch_window_ms,
     get_serve_deadline_s,
     get_serve_max_batch,
     get_serve_queue_depth,
@@ -88,10 +89,7 @@ class ServiceConfig:
     """Scheduling knobs of the sensing service.
 
     Attributes:
-        max_batch_size: flush a batch as soon as it holds this many
-            requests.
-        batch_window_ms: flush a batch once its first request has waited
-            this long, even if it is not full. Zero disables coalescing.
+        max_batch_size: the most requests one batch takes.
         queue_depth: maximum requests admitted but not yet executing;
             submissions beyond this are rejected.
         default_deadline_s: deadline applied to requests that do not carry
@@ -101,7 +99,6 @@ class ServiceConfig:
     """
 
     max_batch_size: int = 32
-    batch_window_ms: float = 2.0
     queue_depth: int = 256
     default_deadline_s: float = 30.0
     workers: int = 2
@@ -110,10 +107,6 @@ class ServiceConfig:
         if self.max_batch_size < 1:
             raise ConfigurationError(
                 f"max_batch_size must be >= 1, got {self.max_batch_size}"
-            )
-        if self.batch_window_ms < 0:
-            raise ConfigurationError(
-                f"batch_window_ms must be >= 0, got {self.batch_window_ms}"
             )
         if self.queue_depth < 1:
             raise ConfigurationError(
@@ -129,16 +122,11 @@ class ServiceConfig:
                 f"workers must be >= 1, got {self.workers}"
             )
 
-    @property
-    def batch_window_s(self) -> float:
-        return self.batch_window_ms / 1000.0
-
     @classmethod
     def from_env(cls) -> ServiceConfig:
         """Build from the typed ``RF_PROTECT_SERVE_*`` registry knobs."""
         return cls(
             max_batch_size=get_serve_max_batch(),
-            batch_window_ms=get_serve_batch_window_ms(),
             queue_depth=get_serve_queue_depth(),
             default_deadline_s=get_serve_deadline_s(),
             workers=get_serve_workers(),
@@ -196,52 +184,51 @@ class SenseService:
         self._execute: ExecuteFn = execute if execute is not None else execute_batch
         self.sessions = SessionStore(session_config, metrics=self.metrics)
         self._batcher: MicroBatcher[BatchKey, _Pending] = MicroBatcher(
-            max_batch_size=self.config.max_batch_size,
-            window_s=self.config.batch_window_s,
+            self.config.max_batch_size
         )
         self._running = False
         self._next_id = 0
         self._waiting = 0
-        self._queue: asyncio.Queue[Batch[BatchKey, _Pending]] | None = None
+        # Wake-up futures of workers parked because nothing was held.
+        self._idle: list[asyncio.Future[None]] = []
         self._executor: ThreadPoolExecutor | None = None
-        self._tasks: list[asyncio.Task[None]] = []
+        self._workers: list[asyncio.Task[None]] = []
+        self._sweeper: asyncio.Task[None] | None = None
 
     # -- lifecycle ---------------------------------------------------------
 
     async def start(self) -> None:
-        """Bind to the running loop and spawn the flusher/worker tasks."""
+        """Bind to the running loop and spawn the worker/sweeper tasks."""
         if self._running:
             return
-        self._queue = asyncio.Queue()
         self._executor = ThreadPoolExecutor(
             max_workers=self.config.workers,
             thread_name_prefix="rfprotect-serve",
         )
         self._running = True
-        self._tasks = [asyncio.create_task(self._flush_loop(),
-                                           name="serve-flusher")]
-        self._tasks.extend(
+        self._sweeper = asyncio.create_task(self._sweep_loop(),
+                                            name="serve-sweeper")
+        self._workers = [
             asyncio.create_task(self._worker_loop(), name=f"serve-worker-{i}")
             for i in range(self.config.workers)
-        )
+        ]
 
     async def stop(self) -> None:
-        """Drain held batches, finish queued work, and shut down."""
+        """Run every held request and in-flight batch, then shut down."""
         if not self._running:
             return
         self._running = False
-        assert self._queue is not None and self._executor is not None
-        loop = asyncio.get_running_loop()
-        for batch in self._batcher.drain(loop.time()):
-            self._queue.put_nowait(batch)
-        await self._queue.join()
-        for task in self._tasks:
-            task.cancel()
-        await asyncio.gather(*self._tasks, return_exceptions=True)
-        self._tasks = []
+        assert self._executor is not None and self._sweeper is not None
+        # Workers take until nothing is held, then exit instead of parking.
+        while self._idle:
+            self._wake_worker()
+        await asyncio.gather(*self._workers, return_exceptions=True)
+        self._sweeper.cancel()
+        await asyncio.gather(self._sweeper, return_exceptions=True)
+        self._workers = []
+        self._sweeper = None
         self._executor.shutdown(wait=True)
         self._executor = None
-        self._queue = None
 
     async def __aenter__(self) -> SenseService:
         await self.start()
@@ -269,7 +256,7 @@ class SenseService:
             DeadlineExceededError: the deadline expired before execution.
             ServeError subclasses from execution failures.
         """
-        if not self._running or self._queue is None:
+        if not self._running:
             self.metrics.inc("requests.rejected")
             raise ServiceClosedError(
                 "sense request submitted to a service that is not running"
@@ -295,9 +282,8 @@ class SenseService:
         self._next_id += 1
         self._set_waiting(self._waiting + 1)
         self.metrics.inc("requests.submitted")
-        full = self._batcher.add(pending.key, pending, now)
-        if full is not None:
-            self._queue.put_nowait(full)
+        self._batcher.add(pending.key, pending)
+        self._wake_worker()
         return await pending.future
 
     def _set_waiting(self, value: int) -> None:
@@ -433,36 +419,45 @@ class SenseService:
 
     # -- scheduling --------------------------------------------------------
 
-    async def _flush_loop(self) -> None:
-        """Poll the batcher for window-expired groups; sweep idle sessions.
+    def _wake_worker(self) -> None:
+        """Resume one parked worker; it takes on its next loop pass.
 
-        The session sweep rides the flusher instead of owning a task: it
-        is a bookkeeping pass measured in microseconds, and coupling it to
-        the tick the service already pays keeps the task inventory flat.
+        The wake-up is a scheduled callback, so every submit already
+        scheduled in this loop pass (a ``sense_many`` burst) is held
+        before the worker takes.
         """
-        tick = max(self.config.batch_window_s / 4.0, 0.001)
-        assert self._queue is not None
+        while self._idle:
+            wake = self._idle.pop()
+            if not wake.done():
+                wake.set_result(None)
+                return
+
+    async def _sweep_loop(self) -> None:
+        """Park idle tracking sessions every ``sweep_interval_s``."""
         loop = asyncio.get_running_loop()
-        sweep_interval = self.sessions.config.sweep_interval_s
-        next_sweep = loop.time() + sweep_interval
+        interval = self.sessions.config.sweep_interval_s
         while True:
-            now = loop.time()
-            for batch in self._batcher.due(now):
-                self._queue.put_nowait(batch)
-            if now >= next_sweep:
-                evicted = self.sessions.evict_idle(now)
-                if evicted:
-                    self.metrics.inc("sessions.evicted", evicted)
-                next_sweep = now + sweep_interval
-            await asyncio.sleep(tick)
+            await asyncio.sleep(interval)
+            evicted = self.sessions.evict_idle(loop.time())
+            if evicted:
+                self.metrics.inc("sessions.evicted", evicted)
 
     async def _worker_loop(self) -> None:
-        """Pull flushed batches and execute them off-loop."""
-        assert self._queue is not None
-        queue = self._queue
+        """Take the oldest key's held requests whenever free; run them.
+
+        A worker parks only when nothing is held, and exits once the
+        service is stopping and nothing is held.
+        """
         loop = asyncio.get_running_loop()
         while True:
-            batch = await queue.get()
+            batch = self._batcher.take()
+            if batch is None:
+                if not self._running:
+                    return
+                wake: asyncio.Future[None] = loop.create_future()
+                self._idle.append(wake)
+                await wake
+                continue
             try:
                 await self._run_batch(loop, batch)
             except Exception as error:
@@ -476,8 +471,6 @@ class SenseService:
                         pending.future.set_exception(ServeError(
                             f"batch execution failed: {error}"
                         ))
-            finally:
-                queue.task_done()
 
     async def _run_batch(self, loop: asyncio.AbstractEventLoop,
                          batch: Batch[BatchKey, _Pending]) -> None:

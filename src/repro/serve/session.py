@@ -285,7 +285,7 @@ class SessionStore:
     def evict_idle(self, now: float) -> int:
         """Park every live session idle for ``idle_timeout_s``; returns count.
 
-        The service's flusher runs this every ``sweep_interval_s``.
+        The service's sweeper task runs this every ``sweep_interval_s``.
         Sessions whose ingestion lock is currently held are skipped — a
         request is mid-flight on them, which is the opposite of idle.
         """

@@ -13,7 +13,6 @@ import pytest
 from repro.config import (
     ENV_ACCESSORS,
     ENV_REGISTRY,
-    get_serve_batch_window_ms,
     get_serve_deadline_s,
     get_serve_max_batch,
     get_serve_queue_depth,
@@ -23,7 +22,6 @@ from repro.errors import ConfigurationError
 from repro.serve.service import ServiceConfig
 
 SERVE_VARS = {
-    "RF_PROTECT_SERVE_BATCH_WINDOW_MS",
     "RF_PROTECT_SERVE_MAX_BATCH",
     "RF_PROTECT_SERVE_QUEUE_DEPTH",
     "RF_PROTECT_SERVE_DEADLINE_S",
@@ -51,7 +49,6 @@ class TestRegistryCompleteness:
 
 class TestServeKnobDefaults:
     def test_defaults(self):
-        assert get_serve_batch_window_ms({}) == 2.0
         assert get_serve_max_batch({}) == 32
         assert get_serve_queue_depth({}) == 256
         assert get_serve_deadline_s({}) == 30.0
@@ -67,14 +64,8 @@ class TestServeKnobParsing:
         assert get_serve_workers({"RF_PROTECT_SERVE_WORKERS": "4"}) == 4
 
     def test_float_knobs_parse(self):
-        assert get_serve_batch_window_ms(
-            {"RF_PROTECT_SERVE_BATCH_WINDOW_MS": "0.5"}) == 0.5
         assert get_serve_deadline_s(
             {"RF_PROTECT_SERVE_DEADLINE_S": "1.25"}) == 1.25
-
-    def test_window_zero_allowed(self):
-        assert get_serve_batch_window_ms(
-            {"RF_PROTECT_SERVE_BATCH_WINDOW_MS": "0"}) == 0.0
 
     @pytest.mark.parametrize("name, accessor, raw", [
         ("RF_PROTECT_SERVE_MAX_BATCH", get_serve_max_batch, "0"),
@@ -83,12 +74,11 @@ class TestServeKnobParsing:
         ("RF_PROTECT_SERVE_QUEUE_DEPTH", get_serve_queue_depth, "0"),
         ("RF_PROTECT_SERVE_WORKERS", get_serve_workers, "0"),
         ("RF_PROTECT_SERVE_WORKERS", get_serve_workers, "1.5"),
-        ("RF_PROTECT_SERVE_BATCH_WINDOW_MS", get_serve_batch_window_ms, "-1"),
-        ("RF_PROTECT_SERVE_BATCH_WINDOW_MS", get_serve_batch_window_ms, "nan"),
-        ("RF_PROTECT_SERVE_BATCH_WINDOW_MS", get_serve_batch_window_ms, "inf"),
-        ("RF_PROTECT_SERVE_BATCH_WINDOW_MS", get_serve_batch_window_ms, "soon"),
         ("RF_PROTECT_SERVE_DEADLINE_S", get_serve_deadline_s, "0"),
         ("RF_PROTECT_SERVE_DEADLINE_S", get_serve_deadline_s, "-2"),
+        ("RF_PROTECT_SERVE_DEADLINE_S", get_serve_deadline_s, "nan"),
+        ("RF_PROTECT_SERVE_DEADLINE_S", get_serve_deadline_s, "inf"),
+        ("RF_PROTECT_SERVE_DEADLINE_S", get_serve_deadline_s, "soon"),
     ])
     def test_invalid_values_raise_configuration_error(self, name, accessor,
                                                       raw):
@@ -99,23 +89,18 @@ class TestServeKnobParsing:
 class TestServiceConfigFromEnv:
     def test_reads_registry_knobs(self, monkeypatch):
         monkeypatch.setenv("RF_PROTECT_SERVE_MAX_BATCH", "8")
-        monkeypatch.setenv("RF_PROTECT_SERVE_BATCH_WINDOW_MS", "7.5")
         monkeypatch.setenv("RF_PROTECT_SERVE_QUEUE_DEPTH", "11")
         monkeypatch.setenv("RF_PROTECT_SERVE_DEADLINE_S", "3.0")
         monkeypatch.setenv("RF_PROTECT_SERVE_WORKERS", "3")
         config = ServiceConfig.from_env()
         assert config.max_batch_size == 8
-        assert config.batch_window_ms == 7.5
         assert config.queue_depth == 11
         assert config.default_deadline_s == 3.0
         assert config.workers == 3
-        assert config.batch_window_s == pytest.approx(0.0075)
 
     def test_invalid_direct_construction_rejected(self):
         with pytest.raises(ConfigurationError, match="max_batch_size"):
             ServiceConfig(max_batch_size=0)
-        with pytest.raises(ConfigurationError, match="batch_window_ms"):
-            ServiceConfig(batch_window_ms=-1.0)
         with pytest.raises(ConfigurationError, match="queue_depth"):
             ServiceConfig(queue_depth=0)
         with pytest.raises(ConfigurationError, match="default_deadline_s"):

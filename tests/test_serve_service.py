@@ -40,6 +40,7 @@ from repro.serve import (
     SenseRequest,
     SenseService,
     ServiceConfig,
+    TrackRequest,
 )
 from repro.signal.chirp import ChirpConfig
 
@@ -72,7 +73,7 @@ def radar_config() -> RadarConfig:
 
 
 def quick_service_config(**overrides) -> ServiceConfig:
-    defaults = dict(max_batch_size=4, batch_window_ms=5.0, queue_depth=64,
+    defaults = dict(max_batch_size=4, queue_depth=64,
                     default_deadline_s=10.0, workers=2)
     defaults.update(overrides)
     return ServiceConfig(**defaults)
@@ -90,6 +91,27 @@ class TestRequestValidation:
     def test_bad_deadline_rejected(self, scene):
         with pytest.raises(ConfigurationError, match="deadline"):
             SenseRequest(scene=scene, duration=1.0, deadline_s=0.0)
+
+    # One such request used to fail its whole fused batch at execution
+    # and re-run every batch-mate on the naive kernels.
+    @pytest.mark.parametrize("request_type", [SenseRequest, TrackRequest])
+    @pytest.mark.parametrize("overrides, match", [
+        ({"duration": float("nan")}, "duration"),
+        ({"duration": float("inf")}, "duration"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        ({"max_range": float("nan")}, "max_range"),
+        ({"max_range": float("inf")}, "max_range"),
+        ({"deadline_s": float("nan")}, "deadline"),
+    ])
+    def test_non_finite_and_negative_fields_rejected(self, scene,
+                                                     request_type, overrides,
+                                                     match):
+        fields = {"scene": scene, "duration": 1.0, **overrides}
+        if request_type is TrackRequest:
+            fields["session_id"] = "session"
+        with pytest.raises(ConfigurationError, match=match):
+            request_type(**fields)
 
 
 class TestEquivalenceAndDeterminism:
@@ -141,9 +163,9 @@ class TestEquivalenceAndDeterminism:
                              default_radar_config=radar_config) as client:
             responses = client.sense_many([requests[s] for s in seeds])
             first = dict(zip(seeds, responses))
-        # Run 2: reversed order, singleton batches (window 0, size 1).
+        # Run 2: reversed order, singleton batches.
         with InProcessClient(
-            quick_service_config(max_batch_size=1, batch_window_ms=0.0),
+            quick_service_config(max_batch_size=1),
             default_radar_config=radar_config,
         ) as client:
             responses = client.sense_many(
@@ -181,17 +203,150 @@ class TestEquivalenceAndDeterminism:
         assert len(served_b.result.times) > len(served_a.result.times)
 
 
+def owner(array: np.ndarray) -> np.ndarray:
+    """The array that owns the memory ``array`` views."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
+
+
+class TestResultOwnership:
+    def test_one_response_owns_exactly_its_own_bytes(self, scene,
+                                                     radar_config):
+        requests = [SenseRequest(scene=scene, duration=0.3, seed=s)
+                    for s in range(4)]
+        with InProcessClient(quick_service_config(max_batch_size=4),
+                             default_radar_config=radar_config) as client:
+            responses = client.sense_many(requests)
+        # Bitwise equality to a direct sense call is pinned by
+        # TestEquivalenceAndDeterminism; this pins what a response keeps.
+        for response in responses:
+            assert response.batch_size > 1
+            result = response.result
+            raw = result.raw_profiles
+            assert owner(raw).nbytes == raw.nbytes
+            power_owners = {id(owner(p.power)): owner(p.power)
+                            for p in result.profiles}
+            assert len(power_owners) == 1
+            (cube,) = power_owners.values()
+            assert cube.nbytes == sum(p.power.nbytes for p in result.profiles)
+
+
 class BlockableExecute:
-    """An injectable execute callable that parks until released."""
+    """An injectable execute callable that parks until released.
+
+    Records the size of every batch it is handed, in call order.
+    """
 
     def __init__(self):
         self.release = threading.Event()
         self.calls = 0
+        self.sizes = []
 
     def __call__(self, items):
         self.calls += 1
+        self.sizes.append(len(items))
         assert self.release.wait(timeout=30.0), "test never released executor"
         return serve_engine.execute_batch(items)
+
+
+async def occupy_workers(service, blocker, request, workers):
+    """Submit one request per worker and wait until all of them compute.
+
+    One at a time: requests submitted together would share one batch.
+    """
+    held = []
+    for busy in range(1, workers + 1):
+        held.append(asyncio.ensure_future(service.submit(request)))
+        while blocker.calls < busy:
+            await asyncio.sleep(0.001)
+    return held
+
+
+class TestPullScheduling:
+    @pytest.mark.parametrize("count, cap", [(5, 8), (6, 4), (9, 3)])
+    def test_requests_held_while_busy_form_full_batches(self, scene,
+                                                        radar_config, count,
+                                                        cap):
+        blocker = BlockableExecute()
+
+        async def run() -> list[int]:
+            service = SenseService(
+                quick_service_config(max_batch_size=cap, workers=2),
+                default_radar_config=radar_config, execute=blocker,
+            )
+            async with service:
+                request = SenseRequest(scene=scene, duration=0.3, seed=0)
+                busy = await occupy_workers(service, blocker, request, 2)
+                held = [asyncio.ensure_future(service.submit(
+                    SenseRequest(scene=scene, duration=0.3, seed=s)))
+                    for s in range(count)]
+                await asyncio.sleep(0.01)
+                assert blocker.calls == 2  # nothing runs while both compute
+                blocker.release.set()
+                await asyncio.gather(*busy, *held)
+            return blocker.sizes
+
+        sizes = asyncio.run(run())
+        full, rest = divmod(count, cap)
+        assert sizes[:2] == [1, 1]
+        expected = [cap] * full + ([rest] if rest else [])
+        assert sorted(sizes[2:], reverse=True) == expected
+
+    def test_idle_service_runs_a_lone_request_without_waiting(
+            self, scene, radar_config):
+        blocker = BlockableExecute()
+
+        async def run() -> tuple[float, int]:
+            service = SenseService(quick_service_config(),
+                                   default_radar_config=radar_config,
+                                   execute=blocker)
+            async with service:
+                future = asyncio.ensure_future(service.submit(
+                    SenseRequest(scene=scene, duration=0.3, seed=0)))
+                # A few loop passes and no timer: the request is already
+                # out of the queue and executing.
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                depth = service.metrics.gauge("queue.depth").value
+                blocker.release.set()
+                response = await future
+            return depth, response.batch_size
+
+        depth, batch_size = asyncio.run(run())
+        assert depth == 0.0
+        assert batch_size == 1
+
+    def test_stop_drains_held_requests_and_inflight_batches(self, scene,
+                                                            radar_config):
+        blocker = BlockableExecute()
+
+        async def run() -> list:
+            service = SenseService(
+                quick_service_config(max_batch_size=2, workers=1),
+                default_radar_config=radar_config, execute=blocker,
+            )
+            await service.start()
+            request = SenseRequest(scene=scene, duration=0.3, seed=0)
+            inflight = await occupy_workers(service, blocker, request, 1)
+            held = [asyncio.ensure_future(service.submit(
+                SenseRequest(scene=scene, duration=0.3, seed=s)))
+                for s in range(5)]
+            await asyncio.sleep(0)
+            stopping = asyncio.ensure_future(service.stop())
+            await asyncio.sleep(0.01)
+            assert not stopping.done()
+            with pytest.raises(ServiceClosedError):
+                await service.submit(request)
+            blocker.release.set()
+            await stopping
+            assert all(future.done() for future in inflight + held)
+            return [future.result() for future in inflight + held]
+
+        responses = asyncio.run(run())
+        assert len(responses) == 6
+        assert blocker.sizes == [1, 2, 2, 1]
+        assert all(r.backend == BACKEND_VECTORIZED for r in responses)
 
 
 class TestSaturationAndDeadlines:
@@ -201,8 +356,8 @@ class TestSaturationAndDeadlines:
 
         async def run() -> dict:
             service = SenseService(
-                quick_service_config(max_batch_size=1, batch_window_ms=0.0,
-                                     queue_depth=2, workers=1),
+                quick_service_config(max_batch_size=1, queue_depth=2,
+                                     workers=1),
                 default_radar_config=radar_config,
                 execute=blocker,
             )
@@ -236,8 +391,7 @@ class TestSaturationAndDeadlines:
 
         async def run() -> int:
             service = SenseService(
-                quick_service_config(max_batch_size=1, batch_window_ms=0.0,
-                                     workers=1),
+                quick_service_config(max_batch_size=1, workers=1),
                 default_radar_config=radar_config,
                 execute=blocker,
             )
@@ -355,7 +509,7 @@ class TestTelemetry:
 class TestResponseMetadata:
     def test_batch_size_and_timings_populated(self, scene, radar_config):
         with InProcessClient(
-            quick_service_config(max_batch_size=8, batch_window_ms=20.0),
+            quick_service_config(max_batch_size=8),
             default_radar_config=radar_config,
         ) as client:
             responses = client.sense_many(

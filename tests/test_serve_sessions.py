@@ -10,7 +10,7 @@ Pins the session subsystem's contracts:
   ≥200-session concurrent soak, with clean metric deltas;
 - **service integration** — tracked requests ride the ordinary
   admission/batching path, session continuity spans requests, the
-  flusher's eviction sweep parks idle sessions end to end, and exported
+  sweeper's idle-eviction pass parks idle sessions end to end, and exported
   checkpoints restore into new sessions.
 """
 
@@ -368,12 +368,12 @@ class TestServiceSessions:
 
         assert asyncio.run(run()) <= 2
 
-    def test_flusher_sweep_parks_idle_sessions(self, tracked_scene):
+    def test_sweeper_parks_idle_sessions(self, tracked_scene):
         config = fast_radar_config()
 
         async def run() -> dict:
             service = SenseService(
-                quick_service_config(batch_window_ms=2.0),
+                quick_service_config(),
                 default_radar_config=config,
                 session_config=SessionConfig(idle_timeout_s=0.05,
                                              sweep_interval_s=0.02),
