@@ -13,13 +13,9 @@ import pytest
 from repro.experiments.environments import office_environment
 from repro.gan import GanConfig, GanTrainer
 from repro.nn import LSTM, Tensor
-from repro.radar import (
-    PathComponent,
-    synthesize_frame,
-    synthesize_frame_naive,
-    synthesize_frames,
-)
+from repro.radar import PathComponent, synthesize_frame, synthesize_frames
 from repro.radar.processing import compute_range_angle_map, frame_range_profiles
+from repro.radar.reference import synthesize_frame_naive
 from repro.trajectories import HumanMotionSimulator
 from repro.types import Trajectory
 

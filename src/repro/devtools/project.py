@@ -1,6 +1,6 @@
 """Project-wide symbol graph for rflint: per-module facts + resolution.
 
-The cross-module rules (RFP010–RFP014) cannot work from a single AST —
+The cross-module rules (RFP010, RFP012–RFP014) cannot work from a single AST —
 they follow a call from ``SenseService.submit_tracked`` into
 ``SessionStore.get`` and on into ``StreamingTracker.from_checkpoint``,
 three modules apart. This module supplies the two halves that make that
@@ -10,11 +10,10 @@ tractable inside a linter:
   fact dict — classes (fields, lock presence, attribute types, checkpoint
   schema), functions (signature, calls with lock context, attribute
   accesses, blocking calls, dtype events from
-  :mod:`repro.devtools.dataflow`), kernel registrations, and checkpoint
-  subscript reads. Facts are what the incremental cache stores: they are
-  cheap to extract, cheap to reload, and contain everything the project
-  pass needs, so a cached file never has to be re-parsed for cross-module
-  analysis.
+  :mod:`repro.devtools.dataflow`), and checkpoint subscript reads. Facts
+  are what the incremental cache stores: they are cheap to extract, cheap
+  to reload, and contain everything the project pass needs, so a cached
+  file never has to be re-parsed for cross-module analysis.
 - :class:`ProjectGraph` assembles all modules' facts and resolves
   *call descriptors* to concrete functions: ``self.x()``, ``self.attr.x()``
   through constructor-inferred attribute types, local variables through
@@ -392,61 +391,6 @@ def _function_facts(
     }
 
 
-def _registration_facts(
-    function: ast.FunctionDef | ast.AsyncFunctionDef,
-    aliases: dict[str, str],
-) -> dict[str, Any] | None:
-    """A ``@KERNELS.register(Stage.X, "backend")`` decoration, if any."""
-    for decorator in function.decorator_list:
-        if not isinstance(decorator, ast.Call):
-            continue
-        func = decorator.func
-        if not (isinstance(func, ast.Attribute) and func.attr == "register"):
-            continue
-        registry = func.value
-        named_kernels = (
-            isinstance(registry, ast.Name) and registry.id == "KERNELS"
-        )
-        resolved = resolve(registry, aliases)
-        if not (named_kernels
-                or resolved == "repro.radar.stages.KERNELS"):
-            continue
-        stage: str | None = None
-        backend: str | None = None
-        if decorator.args:
-            stage_arg = decorator.args[0]
-            if isinstance(stage_arg, ast.Attribute):
-                stage = stage_arg.attr.lower()
-            elif isinstance(stage_arg, ast.Constant) and isinstance(
-                stage_arg.value, str
-            ):
-                stage = stage_arg.value.lower()
-        if len(decorator.args) > 1:
-            backend_arg = decorator.args[1]
-            if isinstance(backend_arg, ast.Constant) and isinstance(
-                backend_arg.value, str
-            ):
-                backend = backend_arg.value
-        for keyword in decorator.keywords:
-            if keyword.arg == "backend" and isinstance(
-                keyword.value, ast.Constant
-            ) and isinstance(keyword.value.value, str):
-                backend = keyword.value.value
-        args = function.args
-        named = [*args.posonlyargs, *args.args]
-        required = max(len(named) - len(args.defaults), 0)
-        return {
-            "stage": stage,
-            "backend": backend,
-            "func": function.name,
-            "line": function.lineno,
-            "col": function.col_offset + 1,
-            "required": required,
-            "has_varargs": args.vararg is not None,
-        }
-    return None
-
-
 def _checkpoint_info(cls: ast.ClassDef) -> dict[str, Any] | None:
     methods = {
         stmt.name: stmt for stmt in cls.body
@@ -621,7 +565,6 @@ def extract_facts(source: "SourceFile") -> dict[str, Any]:
 
     classes: dict[str, dict[str, Any]] = {}
     functions: dict[str, dict[str, Any]] = {}
-    registrations: list[dict[str, Any]] = []
     checkpoint_reads: list[dict[str, Any]] = []
 
     def visit_function(function: ast.FunctionDef | ast.AsyncFunctionDef,
@@ -631,9 +574,6 @@ def extract_facts(source: "SourceFile") -> dict[str, Any]:
             local_classes=local_classes, module=module, cls_name=cls_name,
         )
         functions[facts["qual"]] = facts
-        registration = _registration_facts(function, aliases)
-        if registration is not None:
-            registrations.append(registration)
 
     for stmt in source.tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -671,7 +611,6 @@ def extract_facts(source: "SourceFile") -> dict[str, Any]:
         },
         "classes": classes,
         "functions": functions,
-        "registrations": registrations,
         "checkpoint_reads": checkpoint_reads,
     }
 

@@ -7,9 +7,11 @@ count), no wall-clock/uuid nondeterminism in result paths, centralized
 and hygiene classics (mutable defaults, swallowed exceptions, unseeded
 test RNGs).
 
-Rule ids are stable: ``RFP001``–``RFP009``, ``RFP015``, and ``RFP016``
-here; the cross-module rules ``RFP010``–``RFP014`` live in
-:mod:`repro.devtools.projectrules`.
+Rule ids are stable: ``RFP001``–``RFP008``, ``RFP015``, and ``RFP016``
+here; the cross-module rules ``RFP010`` and ``RFP012``–``RFP014`` live in
+:mod:`repro.devtools.projectrules`. ``RFP009`` and ``RFP011`` are retired
+(they policed a backend registry that no longer exists); their ids are not
+reused.
 Suppress a deliberate violation with a trailing ``# rflint:
 disable=RFP00x`` comment (it covers the statement's whole line span).
 """
@@ -30,7 +32,6 @@ __all__ = [
     "SwallowedException",
     "TestHygiene",
     "AsyncBlockingCall",
-    "BackendDispatchOutsideRegistry",
     "CanonicalSerializationDiscipline",
     "SceneConstructionOutsideBuilders",
 ]
@@ -236,7 +237,7 @@ class EnvRegistryOnly(Rule):
                 yield self.finding(
                     source, node,
                     f"read of {key} bypasses the typed registry; use the "
-                    f"repro.config accessor (e.g. get_synth_backend())",
+                    f"repro.config accessor (e.g. get_serve_workers())",
                 )
 
 
@@ -716,58 +717,6 @@ class AsyncBlockingCall(Rule):
                 )
 
 
-_BACKEND_ACCESSORS = frozenset(
-    {
-        "repro.config.get_synth_backend",
-        "repro.config.get_pipeline_backend",
-    }
-)
-
-
-@register
-class BackendDispatchOutsideRegistry(Rule):
-    """RFP009 — backend selection only through the kernel registry.
-
-    ``get_synth_backend()``/``get_pipeline_backend()`` answer "which kernel
-    should run?" — a question only the stage-graph kernel registry
-    (:mod:`repro.radar.stages`) may ask. Every other call site branching on
-    those accessors re-grows the scattered ``if backend == "naive"``
-    conditionals the registry exists to eliminate, and per-call overrides
-    (``sense(..., pipeline="naive")``) silently stop reaching it. Register
-    a kernel per backend and resolve via ``KERNELS.resolve(stage)`` (or a
-    ``StageBinding`` override) instead.
-    """
-
-    rule_id = "RFP009"
-    title = "backend dispatch outside the kernel registry"
-    include = ("*repro/radar/*", "*repro/serve/*", "*repro/signal/*",
-               "*repro/experiments/*")
-    exclude = ("*repro/radar/stages.py",)
-
-    def check(self, source: SourceFile) -> Iterator[Finding]:
-        aliases = build_aliases(source.tree)
-        for node in ast.walk(source.tree):
-            if isinstance(node, ast.Call):
-                target = resolve(node.func, aliases)
-                if target in _BACKEND_ACCESSORS:
-                    yield self.finding(
-                        source, node,
-                        f"{target}() selects a backend outside the kernel "
-                        f"registry; resolve kernels via "
-                        f"repro.radar.stages.KERNELS instead",
-                    )
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                for alias in node.names:
-                    target = f"{node.module}.{alias.name}"
-                    if target in _BACKEND_ACCESSORS:
-                        yield self.finding(
-                            source, node,
-                            f"importing {target} outside the kernel registry "
-                            f"invites scattered backend conditionals; "
-                            f"resolve kernels via repro.radar.stages.KERNELS",
-                        )
-
-
 _JSON_SERIALIZERS = frozenset({"json.dumps", "json.dump"})
 
 
@@ -841,8 +790,8 @@ class SceneConstructionOutsideBuilders(Rule):
     golden digest, ``--scenario`` can't reach it, and the serve traffic
     mix can't draw it. The scenario builders
     (:mod:`repro.scenarios.builders`) are the single place specs become
-    scenes — the same registry-only discipline RFP009 applies to backend
-    dispatch. Construct through ``repro.scenarios.build(...)`` (or the
+    scenes, just as :mod:`repro.config` is the single place environment
+    variables are read. Construct through ``repro.scenarios.build(...)`` (or the
     ``Environment.make_scene`` helpers it returns) instead.
     """
 

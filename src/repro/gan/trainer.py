@@ -22,7 +22,6 @@ from repro.gan.generator import TrajectoryGenerator
 from repro.nn.functional import bce_with_logits
 from repro.nn.metrics import observe_op
 from repro.nn.optim import Adam
-from repro.nn.recurrent import active_sequence_backend
 from repro.trajectories.dataset import TrajectoryDataset
 
 __all__ = ["GanConfig", "GanTrainer", "TrainingHistory"]
@@ -194,8 +193,7 @@ class GanTrainer:
 
         real_score = float(1.0 / (1.0 + np.exp(-real_logits.data)).mean())
         fake_score = float(1.0 / (1.0 + np.exp(-fake_logits.data)).mean())
-        observe_op("gan.discriminator_step", active_sequence_backend(),
-                   time.perf_counter() - started)
+        observe_op("gan.discriminator_step", time.perf_counter() - started)
         return float(loss.data), real_score, fake_score
 
     def _generator_step(self, real_steps: np.ndarray,
@@ -226,8 +224,7 @@ class GanTrainer:
         loss.backward()
         self.generator_optimizer.clip_gradients(self.config.clip_norm)
         self.generator_optimizer.step()
-        observe_op("gan.generator_step", active_sequence_backend(),
-                   time.perf_counter() - started)
+        observe_op("gan.generator_step", time.perf_counter() - started)
         return float(loss.data)
 
     def train(self, *, epochs: int | None = None,

@@ -8,11 +8,11 @@ autodiff :class:`~repro.nn.tensor.Tensor`, differentiable ops
 (de)serialization (`serialization`). Everything is plain numpy and is
 validated against numerical gradients in the test suite.
 
-Two runtime policies govern execution, both env-configurable through
-:mod:`repro.config`: the recurrent sequence backend
-(``RF_PROTECT_NN_BACKEND=naive|fused``, see
-:data:`~repro.nn.recurrent.SEQUENCE_KERNELS`) and the leaf/parameter dtype
-(``RF_PROTECT_NN_DTYPE=float32|float64``, see
+Recurrent layers run each sequence through one fused BPTT op
+(:func:`~repro.nn.functional.lstm_sequence`); the per-step scan it is
+tested against lives in :mod:`repro.nn.reference`, which only tests and
+benchmarks import. The leaf/parameter dtype is env-configurable through
+:mod:`repro.config` (``RF_PROTECT_NN_DTYPE=float32|float64``, see
 :func:`~repro.nn.tensor.dtype_scope`). Per-op wall-time instrumentation
 lives in :mod:`repro.nn.metrics`.
 """
@@ -21,15 +21,7 @@ from repro.nn import functional
 from repro.nn.layers import Dropout, Embedding, Linear, Module, ReLU, Sequential, Sigmoid, Tanh
 from repro.nn.metrics import nn_metrics
 from repro.nn.optim import SGD, Adam, Optimizer
-from repro.nn.recurrent import (
-    SEQUENCE_KERNELS,
-    BiLSTM,
-    LSTM,
-    LSTMCell,
-    active_sequence_backend,
-    sequence_backend_scope,
-    set_sequence_backend,
-)
+from repro.nn.recurrent import BiLSTM, LSTM, LSTMCell
 from repro.nn.serialization import load_state, save_state
 from repro.nn.tensor import (
     Tensor,
@@ -50,13 +42,11 @@ __all__ = [
     "Module",
     "Optimizer",
     "ReLU",
-    "SEQUENCE_KERNELS",
     "SGD",
     "Sequential",
     "Sigmoid",
     "Tanh",
     "Tensor",
-    "active_sequence_backend",
     "default_dtype",
     "dtype_scope",
     "functional",
@@ -64,7 +54,5 @@ __all__ = [
     "nn_metrics",
     "resolve_dtype",
     "save_state",
-    "sequence_backend_scope",
     "set_default_dtype",
-    "set_sequence_backend",
 ]

@@ -11,9 +11,10 @@ nonlinearities and state update. :func:`lstm_sequence` is the *per-layer*
 fusion: the whole ``(T, B, D)`` scan — input projection batched as a single
 ``(T·B, D) @ (D, 4H)`` GEMM up front, per-step recurrence over preallocated
 gate/state buffers, and one hand-written BPTT backward — collapsed into a
-single graph node. The per-step path remains the pinned equivalence
-reference (``RF_PROTECT_NN_BACKEND=naive``); the property suite holds the
-two within dtype-matched tolerances.
+single graph node. The recurrent layers run every scan through
+:func:`lstm_sequence`; a per-step scan built from :func:`lstm_cell`
+(:mod:`repro.nn.reference`) is the equivalence reference, and the property
+suite holds the two within dtype-matched tolerances.
 """
 
 from __future__ import annotations
@@ -348,8 +349,7 @@ def lstm_sequence(inputs: Tensor, w_ih: Tensor, w_hh: Tensor, bias: Tensor,
         h0._accumulate(dh_next)
         c0._accumulate(dc_next)
         from repro.nn.metrics import observe_op
-        observe_op("lstm_sequence_backward", "fused",
-                   time.perf_counter() - started)
+        observe_op("lstm_sequence_backward", time.perf_counter() - started)
 
     out._backward = backward
     return out

@@ -5,22 +5,17 @@ bidirectional LSTM, both with hidden size 512 and dropout 0.5 (Sec. 6).
 These implementations follow the standard gate equations (Hochreiter &
 Schmidhuber) with a forget-gate bias of 1 for stable early training.
 
-Sequence execution is dispatched through :data:`SEQUENCE_KERNELS`, the
-nn-side analogue of the radar stage registry: ``"naive"`` unrolls one
-:func:`~repro.nn.functional.lstm_cell` graph node per timestep (the pinned
-equivalence reference), ``"fused"`` runs the whole layer through the
-single-node :func:`~repro.nn.functional.lstm_sequence` BPTT op. The active
-backend comes from ``RF_PROTECT_NN_BACKEND`` (via
-:func:`repro.config.get_nn_backend`), can be pinned for a block with
-:func:`sequence_backend_scope`, or per call via the ``backend=`` argument.
-Each per-layer scan reports wall time into :mod:`repro.nn.metrics`.
+Each layer of a stack runs its whole sequence through the single-node
+:func:`~repro.nn.functional.lstm_sequence` BPTT op, looked up through this
+module's globals at call time (tests substitute the per-step reference scan
+from :mod:`repro.nn.reference` there). Each per-layer scan reports wall
+time into :mod:`repro.nn.metrics`.
 """
 
 from __future__ import annotations
 
-import contextlib
 import time
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -38,80 +33,7 @@ from repro.nn.layers import Module
 from repro.nn.metrics import observe_op
 from repro.nn.tensor import Tensor, as_tensor
 
-__all__ = [
-    "BiLSTM",
-    "LSTM",
-    "LSTMCell",
-    "SEQUENCE_KERNELS",
-    "active_sequence_backend",
-    "register_sequence_kernel",
-    "sequence_backend_scope",
-    "set_sequence_backend",
-]
-
-#: One LSTM layer over a stacked ``(T, B, D)`` tensor -> ``(T, B, H)``.
-SequenceKernel = Callable[["LSTMCell", Tensor, tuple[Tensor, Tensor]], Tensor]
-
-#: Registry of sequence-scan implementations, keyed by backend name. The
-#: single dispatch point for recurrent execution — code outside this module
-#: selects a backend by name, never by importing a kernel directly.
-SEQUENCE_KERNELS: dict[str, SequenceKernel] = {}
-
-
-def register_sequence_kernel(name: str) -> Callable[[SequenceKernel], SequenceKernel]:
-    """Register a sequence kernel under ``name`` (decorator)."""
-
-    def decorator(kernel: SequenceKernel) -> SequenceKernel:
-        if name in SEQUENCE_KERNELS:
-            raise ConfigurationError(f"sequence kernel {name!r} already registered")
-        SEQUENCE_KERNELS[name] = kernel
-        return kernel
-
-    return decorator
-
-
-_BACKEND_OVERRIDE: str | None = None
-
-
-def active_sequence_backend() -> str:
-    """The backend used when no per-call ``backend=`` is given.
-
-    Resolution order: :func:`set_sequence_backend` /
-    :func:`sequence_backend_scope` override first, then the
-    ``RF_PROTECT_NN_BACKEND`` environment knob.
-    """
-    if _BACKEND_OVERRIDE is not None:
-        return _BACKEND_OVERRIDE
-    from repro.config import get_nn_backend
-
-    return get_nn_backend()
-
-
-def set_sequence_backend(name: str | None) -> str | None:
-    """Set (or with ``None`` clear) the process-wide backend override.
-
-    Returns the previous override so callers can restore it; prefer
-    :func:`sequence_backend_scope` for anything block-shaped.
-    """
-    global _BACKEND_OVERRIDE
-    if name is not None and name not in SEQUENCE_KERNELS:
-        raise ConfigurationError(
-            f"unknown sequence backend {name!r}; "
-            f"registered: {sorted(SEQUENCE_KERNELS)}"
-        )
-    previous = _BACKEND_OVERRIDE
-    _BACKEND_OVERRIDE = name
-    return previous
-
-
-@contextlib.contextmanager
-def sequence_backend_scope(name: str) -> Iterator[str]:
-    """Pin the sequence backend within a ``with`` block."""
-    previous = set_sequence_backend(name)
-    try:
-        yield name
-    finally:
-        set_sequence_backend(previous)
+__all__ = ["BiLSTM", "LSTM", "LSTMCell"]
 
 
 class LSTMCell(Module):
@@ -173,27 +95,6 @@ class LSTMCell(Module):
                 Tensor(zeros.copy(), dtype=zeros.dtype))
 
 
-@register_sequence_kernel("naive")
-def _naive_sequence(cell: LSTMCell, inputs: Tensor,
-                    state: tuple[Tensor, Tensor]) -> Tensor:
-    """Reference scan: one ``lstm_cell`` graph node per timestep."""
-    h, c = state
-    outputs: list[Tensor] = []
-    for t in range(inputs.shape[0]):
-        h, c = cell(inputs[t], (h, c))
-        outputs.append(h)
-    return stack(outputs, axis=0)
-
-
-@register_sequence_kernel("fused")
-def _fused_sequence(cell: LSTMCell, inputs: Tensor,
-                    state: tuple[Tensor, Tensor]) -> Tensor:
-    """Whole-layer scan as a single :func:`lstm_sequence` BPTT node."""
-    h0, c0 = state
-    return lstm_sequence(inputs, cell.weight_ih, cell.weight_hh, cell.bias,
-                         h0, c0)
-
-
 class LSTM(Module):
     """Stacked unidirectional LSTM over a ``(T, B, D)`` sequence."""
 
@@ -228,20 +129,18 @@ class LSTM(Module):
 
     def forward_sequence(self, inputs: Tensor,
                          initial_states: Sequence[tuple[Tensor, Tensor]] | None = None,
-                         *, backend: str | None = None) -> Tensor:
+                         ) -> Tensor:
         """Run the stack over a stacked ``(T, B, D)`` sequence tensor.
 
         This is the primary entry point: the whole scan stays in stacked
         form, inter-layer dropout draws one ``(T, B, H)`` mask per layer
         boundary (bit-identical to the historical per-timestep draws —
-        the RNG stream consumes identically), and each layer runs through
-        the selected :data:`SEQUENCE_KERNELS` entry.
+        the RNG stream consumes identically), and each layer runs as one
+        :func:`~repro.nn.functional.lstm_sequence` node.
 
         Args:
             inputs: ``(T, B, D)`` tensor.
             initial_states: optional per-layer ``(h0, c0)``; zeros otherwise.
-            backend: kernel name; defaults to
-                :func:`active_sequence_backend`.
 
         Returns:
             Top-layer hidden states as one ``(T, B, H)`` tensor.
@@ -253,19 +152,14 @@ class LSTM(Module):
             )
         if inputs.shape[0] < 1:
             raise ConfigurationError("LSTM needs at least one timestep")
-        name = backend if backend is not None else active_sequence_backend()
-        kernel = SEQUENCE_KERNELS.get(name)
-        if kernel is None:
-            raise ConfigurationError(
-                f"unknown sequence backend {name!r}; "
-                f"registered: {sorted(SEQUENCE_KERNELS)}"
-            )
         states = self._resolve_states(inputs.shape[1], initial_states)
         sequence = inputs
         for layer, cell in enumerate(self.cells):
+            h0, c0 = states[layer]
             started = time.perf_counter()
-            sequence = kernel(cell, sequence, states[layer])
-            observe_op("lstm_sequence", name, time.perf_counter() - started)
+            sequence = lstm_sequence(sequence, cell.weight_ih,
+                                     cell.weight_hh, cell.bias, h0, c0)
+            observe_op("lstm_sequence", time.perf_counter() - started)
             if layer < self.num_layers - 1 and self.dropout_probability > 0:
                 sequence = dropout(sequence, self.dropout_probability,
                                    self._rng, training=self.training)
@@ -273,7 +167,7 @@ class LSTM(Module):
 
     def forward(self, inputs: list[Tensor],
                 initial_states: list[tuple[Tensor, Tensor]] | None = None,
-                *, backend: str | None = None) -> list[Tensor]:
+                ) -> list[Tensor]:
         """Run the stack over a per-timestep list of ``(B, D)`` tensors.
 
         Compatibility wrapper over :meth:`forward_sequence`; returns
@@ -281,8 +175,7 @@ class LSTM(Module):
         """
         if not inputs:
             raise ConfigurationError("LSTM needs at least one timestep")
-        stacked = self.forward_sequence(stack(inputs, axis=0), initial_states,
-                                        backend=backend)
+        stacked = self.forward_sequence(stack(inputs, axis=0), initial_states)
         return [stacked[t] for t in range(len(inputs))]
 
     def forward_stacked(self, inputs: list[Tensor],
@@ -307,15 +200,12 @@ class BiLSTM(Module):
                                   dropout_probability=dropout_probability)
         self.hidden_size = hidden_size
 
-    def forward_sequence(self, inputs: Tensor,
-                         *, backend: str | None = None) -> Tensor:
+    def forward_sequence(self, inputs: Tensor) -> Tensor:
         """Per-timestep ``(T, B, 2H)`` outputs (forward ++ backward)."""
         inputs = as_tensor(inputs)
-        forward_out = self.forward_lstm.forward_sequence(inputs,
-                                                         backend=backend)
+        forward_out = self.forward_lstm.forward_sequence(inputs)
         backward_out = flip_sequence(
-            self.backward_lstm.forward_sequence(flip_sequence(inputs),
-                                                backend=backend)
+            self.backward_lstm.forward_sequence(flip_sequence(inputs))
         )
         return concat([forward_out, backward_out], axis=2)
 

@@ -9,24 +9,19 @@ and the trajectory extraction stage with Kalman tracking (`tracker`).
 Every sense path — FMCW, pulsed, the serving engine, the experiments
 runner — executes through the stage-graph executor in `stages`: a typed
 Emit → Synthesize → RangeFFT → BackgroundSubtract → Beamform → Detect
-plan whose kernels resolve from one registration-based registry
-(`KERNELS`), with per-stage wall-time instrumentation.
+plan with one production kernel per stage and per-stage wall-time
+instrumentation. The per-frame reference loops those kernels are tested
+against live in `reference`, which only tests and benchmarks import.
 """
 
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.channel import ChannelModel
 from repro.radar.config import RadarConfig
-from repro.radar.frontend import (
-    SYNTH_STATS,
-    PathComponent,
-    SynthesisStats,
-    synthesis_backend,
-    synthesize_frame,
-    synthesize_frame_naive,
-)
+from repro.radar.frontend import SYNTH_STATS, PathComponent, SynthesisStats
 from repro.radar.batch import (
     PackedComponents,
     pack_components,
+    synthesize_frame,
     synthesize_frame_batches,
     synthesize_frame_vectorized,
     synthesize_frames,
@@ -38,7 +33,6 @@ from repro.radar.pipeline import (
     batched_lag_vectors,
     batched_range_profiles,
     beamform_from_lags,
-    pipeline_backend,
     process_sweep,
 )
 from repro.radar.processing import (
@@ -59,18 +53,11 @@ from repro.radar.scene import (
     StaticReflector,
 )
 from repro.radar.stages import (
-    KERNELS,
     RECEIVE_PLAN,
     SENSE_PLAN,
     ExecutionContext,
-    KernelRegistry,
     Stage,
-    StageBinding,
-    StageKernel,
-    backend_overrides,
-    default_backend,
     execute,
-    frame_synthesizer,
     stage_metrics,
 )
 from repro.radar.tracker import (
@@ -79,7 +66,6 @@ from repro.radar.tracker import (
     Track,
     TrackerConfig,
     extract_tracks,
-    hungarian_assignment,
     track_detections,
 )
 
@@ -89,9 +75,7 @@ __all__ = [
     "Fan",
     "FmcwRadar",
     "HumanTarget",
-    "KERNELS",
     "KalmanTracker2D",
-    "KernelRegistry",
     "OcclusionSpec",
     "PackedComponents",
     "PathComponent",
@@ -107,8 +91,6 @@ __all__ = [
     "Scene",
     "SensingResult",
     "Stage",
-    "StageBinding",
-    "StageKernel",
     "StaticReflector",
     "StreamingTracker",
     "SweepProcessingResult",
@@ -116,10 +98,7 @@ __all__ = [
     "TrackerConfig",
     "UniformLinearArray",
     "ZERO_PAD_FACTOR",
-    "backend_overrides",
-    "default_backend",
     "execute",
-    "frame_synthesizer",
     "stage_metrics",
     "background_subtract",
     "batched_background_subtract",
@@ -130,15 +109,11 @@ __all__ = [
     "compute_range_angle_map",
     "extract_tracks",
     "frame_range_profiles",
-    "hungarian_assignment",
     "pack_components",
-    "pipeline_backend",
     "process_sweep",
     "range_keep_mask",
-    "synthesis_backend",
     "synthesize_frame",
     "synthesize_frame_batches",
-    "synthesize_frame_naive",
     "synthesize_frame_vectorized",
     "synthesize_frames",
     "track_detections",

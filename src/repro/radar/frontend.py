@@ -12,14 +12,11 @@ offset* ``f_off``. Physical scatterers have ``f_off = 0``; the switched
 reflector's square-wave harmonics appear as components with ``f_off = ±n *
 f_switch`` (Sec. 5.1), which is exactly how the tag spoofs distance.
 
-Two interchangeable synthesis kernels exist: the reference per-component
-loop in this module (:func:`synthesize_frame_naive`) and the batched,
-broadcasted engine in :mod:`repro.radar.batch`. Both register with the
-Synthesize stage of the kernel registry (:mod:`repro.radar.stages`);
-:func:`synthesize_frame` resolves through that registry, which follows the
-``RF_PROTECT_SYNTH`` environment variable (``vectorized`` by default,
-``naive`` as the debugging escape hatch); the equivalence suite in
-``tests/test_frontend_equivalence.py`` pins the two kernels to each other.
+This module holds the path model and the noise draw; the synthesis kernel
+itself is the batched, broadcasted engine in :mod:`repro.radar.batch`. The
+per-component reference loop it is tested against lives in
+:mod:`repro.radar.reference`, and ``tests/test_frontend_equivalence.py``
+pins the two to each other.
 """
 
 from __future__ import annotations
@@ -30,16 +27,12 @@ import logging
 import numpy as np
 
 from repro.errors import SignalProcessingError
-from repro.radar.antenna import UniformLinearArray
 from repro.radar.config import RadarConfig
 
 __all__ = [
     "PathComponent",
     "SYNTH_STATS",
     "SynthesisStats",
-    "synthesis_backend",
-    "synthesize_frame",
-    "synthesize_frame_naive",
 ]
 
 logger = logging.getLogger(__name__)
@@ -51,9 +44,9 @@ class SynthesisStats:
 
     A super-Nyquist tone is silently invisible to the radar (a real ADC's
     anti-alias filter removes it), but silently *dropping* it in simulation
-    made a whole class of bugs untestable. Both kernels log each drop at
-    debug level and accumulate counts here so tests can assert the naive
-    and vectorized paths discard exactly the same tones.
+    made a whole class of bugs untestable. The synthesis kernel and its
+    reference loop log each drop at debug level and accumulate counts here
+    so tests can assert both discard exactly the same tones.
     """
 
     frames_synthesized: int = 0
@@ -78,20 +71,6 @@ class SynthesisStats:
 
 
 SYNTH_STATS = SynthesisStats()
-
-
-def synthesis_backend() -> str:
-    """The active synthesis kernel, from ``RF_PROTECT_SYNTH``.
-
-    Thin alias for the Synthesize stage's default backend, resolved
-    through the kernel registry (:mod:`repro.radar.stages`) — the one
-    module allowed to branch on the backend accessors (see RFP009).
-    """
-    # Imported lazily: repro.radar.stages registers this module's kernels,
-    # so it imports us at module load.
-    from repro.radar.stages import Stage, default_backend
-
-    return default_backend(Stage.SYNTHESIZE)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -145,72 +124,10 @@ def thermal_noise(config: RadarConfig, rng: np.random.Generator,
                   shape: tuple[int, ...]) -> np.ndarray:
     """Complex thermal noise with ``config.noise_std`` per-sample deviation.
 
-    Both kernels (and the batched sweep path) draw noise through this one
-    helper with identical generator calls, so a fixed-seed ``rng`` yields a
-    bit-identical noise stream regardless of which backend synthesized the
-    tones.
+    Every synthesis path (single frame, batched sweep, the reference loop)
+    draws noise through this one helper with identical generator calls, so
+    a fixed-seed ``rng`` yields a bit-identical noise stream regardless of
+    which path synthesized the tones.
     """
     scale = config.noise_std / np.sqrt(2.0)
     return rng.normal(0.0, scale, shape) + 1j * rng.normal(0.0, scale, shape)
-
-
-def synthesize_frame_naive(components: list[PathComponent], config: RadarConfig,
-                           array: UniformLinearArray,
-                           rng: np.random.Generator | None = None) -> np.ndarray:
-    """Reference per-component synthesis loop (the pre-vectorization kernel).
-
-    Kept as the ground truth the batched engine is tested against, and as
-    the ``RF_PROTECT_SYNTH=naive`` debugging fallback.
-    """
-    chirp = config.chirp
-    t = chirp.sample_times()
-    frame = np.zeros((config.num_antennas, chirp.num_samples), dtype=complex)
-
-    dropped = 0
-    for component in components:
-        # A true extra delay behaves exactly like extra distance for FMCW.
-        effective_distance = component.distance + float(
-            chirp.delay_to_distance(component.extra_delay_s)
-        )
-        beat_frequency = (chirp.distance_to_beat_frequency(effective_distance)
-                          + component.beat_offset_hz)
-        if abs(beat_frequency) >= chirp.sample_rate / 2.0:
-            # Tone beyond Nyquist: a real ADC's anti-alias filter removes it.
-            dropped += 1
-            continue
-        carrier_phase = (chirp.carrier_phase(effective_distance)
-                         + component.phase_offset)
-        tone = component.amplitude * np.exp(
-            1j * (2.0 * np.pi * beat_frequency * t + carrier_phase)
-        )
-        antenna_phases = array.arrival_phases(component.angle)
-        frame += np.exp(1j * antenna_phases)[:, None] * tone[None, :]
-    SYNTH_STATS.record_frame(len(components), dropped, "naive")
-
-    if rng is not None and config.noise_std > 0:
-        frame = frame + thermal_noise(config, rng, frame.shape)
-    return frame
-
-
-def synthesize_frame(components: list[PathComponent], config: RadarConfig,
-                     array: UniformLinearArray,
-                     rng: np.random.Generator | None = None) -> np.ndarray:
-    """Synthesize one frame of beat samples for all antennas.
-
-    Resolves the frame-level Synthesize kernel through the registry in
-    :mod:`repro.radar.stages` — the batched engine
-    (:mod:`repro.radar.batch`) or the reference loop above according to
-    ``RF_PROTECT_SYNTH``.
-
-    Args:
-        components: propagation paths visible in this chirp.
-        config: radar configuration (chirp, noise, array size).
-        array: array geometry supplying the per-antenna arrival phases.
-        rng: random generator for thermal noise; ``None`` disables noise.
-
-    Returns:
-        Complex array of shape ``(num_antennas, num_samples)``.
-    """
-    from repro.radar.stages import frame_synthesizer
-
-    return frame_synthesizer()(components, config, array, rng)

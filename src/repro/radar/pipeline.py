@@ -22,12 +22,10 @@ This module processes the whole ``(F, K, N)`` cube from
    cube whose per-frame slices back the
    :class:`~repro.radar.processing.RangeAngleProfile` views.
 
-Stage by stage, the arithmetic is either identical to the reference
-kernel's (FFT, subtraction) or an exact algebraic regrouping of it
-(lag-domain Eq. 2), so the two backends agree to ``atol=1e-10``
-(``tests/test_pipeline_equivalence.py`` pins this); the
-backend is selected with ``RF_PROTECT_PIPELINE=naive|vectorized`` through
-the typed registry in :mod:`repro.config`.
+Stage by stage, the arithmetic is either identical to the per-frame
+reference loops in :mod:`repro.radar.reference` (FFT, subtraction) or an
+exact algebraic regrouping of them (lag-domain Eq. 2), so the two agree to
+``atol=1e-10`` (``tests/test_pipeline_equivalence.py`` pins this).
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ __all__ = [
     "batched_lag_vectors",
     "batched_range_profiles",
     "beamform_from_lags",
-    "pipeline_backend",
     "process_sweep",
 ]
 
@@ -61,20 +58,6 @@ __all__ = [
 #: size keep each pass's operands L2-resident on small hosts while staying
 #: large enough that loop/BLAS dispatch overhead is negligible.
 _CHUNK_BYTES = 1 << 22
-
-
-def pipeline_backend() -> str:
-    """The active receive-processing engine, from ``RF_PROTECT_PIPELINE``.
-
-    Thin alias for the receive stages' default backend, resolved through
-    the kernel registry (:mod:`repro.radar.stages`) — the one module
-    allowed to branch on the backend accessors (see RFP009).
-    """
-    # Imported lazily: repro.radar.stages registers kernels built from
-    # this module's batch passes, so it imports us at module load.
-    from repro.radar.stages import Stage, default_backend
-
-    return default_backend(Stage.BEAMFORM)
 
 
 def batched_range_profiles(frames: np.ndarray,
@@ -302,21 +285,16 @@ def process_sweep(frames: np.ndarray, config: RadarConfig,
             f"got {times.shape[0]} frame times for "
             f"{np.asarray(frames).shape[0]} frames"
         )
-    # Imported lazily — see pipeline_backend().
-    from repro.radar.stages import (
-        RECEIVE_PLAN,
-        ExecutionContext,
-        StageBinding,
-        execute,
-    )
+    # Imported lazily: repro.radar.stages builds its kernels from this
+    # module's batch passes, so it imports us at module load.
+    from repro.radar.stages import RECEIVE_PLAN, ExecutionContext, execute
 
     ctx = ExecutionContext(
         array=array, times=times, config=config, max_range=max_range,
         min_range=config.min_range if min_range is None else min_range,
     )
     ctx.workspace["frames"] = np.asarray(frames)
-    execute(tuple(StageBinding(b.stage, backend="vectorized")
-                  for b in RECEIVE_PLAN), ctx)
+    execute(RECEIVE_PLAN, ctx)
     return SweepProcessingResult(raw_profiles=ctx.workspace["raw_profiles"],
                                  power_cube=ctx.workspace["power_cube"],
                                  ranges=ctx.workspace["ranges"],

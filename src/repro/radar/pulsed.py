@@ -33,11 +33,10 @@ from repro.radar.frontend import PathComponent
 from repro.radar.processing import RangeAngleProfile
 from repro.radar.scene import Scene
 from repro.radar.stages import (
+    RECEIVE_PLAN,
     ExecutionContext,
     Stage,
-    StageBinding,
     TrackedResultMixin,
-    backend_overrides,
     execute,
 )
 
@@ -249,14 +248,12 @@ class PulsedRadar:
 
     def sense(self, scene: Scene, duration: float, *,
               rng: np.random.Generator | None = None,
-              start_time: float = 0.0,
-              pipeline: str | None = None) -> PulsedSensingResult:
+              start_time: float = 0.0) -> PulsedSensingResult:
         """Capture ``duration`` seconds of pulsed frames from ``scene``.
 
         The emission/echo kernels are pulsed-specific, but background
-        subtraction and Eq. 2 beamforming resolve from the same stage
-        registry as the FMCW radar — ``pipeline`` overrides the
-        ``RF_PROTECT_PIPELINE`` dispatch for this call.
+        subtraction and Eq. 2 beamforming are the FMCW radar's stage
+        kernels.
         """
         if duration <= 0:
             raise TrackingError(f"duration must be positive, got {duration}")
@@ -269,17 +266,12 @@ class PulsedRadar:
         ctx = ExecutionContext(
             array=self.array, times=times, config=config, scene=scene,
             rng=rng, max_range=config.max_range, min_range=config.min_range,
-            overrides=backend_overrides(pipeline=pipeline),
         )
         execute((
-            StageBinding(Stage.EMIT, backend="pulsed",
-                         kernel=self._emit_stage),
-            StageBinding(Stage.SYNTHESIZE, backend="pulsed",
-                         kernel=self._synthesize_stage),
-            StageBinding(Stage.RANGE_FFT, backend="pulsed",
-                         kernel=self._matched_filter_stage),
-            StageBinding(Stage.BACKGROUND_SUBTRACT),
-            StageBinding(Stage.BEAMFORM),
+            (Stage.EMIT, self._emit_stage),
+            (Stage.SYNTHESIZE, self._synthesize_stage),
+            (Stage.RANGE_FFT, self._matched_filter_stage),
+            *RECEIVE_PLAN[1:],
         ), ctx)
         return PulsedSensingResult(times=times,
                                    profiles=ctx.workspace["profiles"],

@@ -19,9 +19,7 @@ computation by construction — a property pinned track-for-track by
 ``tests/test_property_tracker.py``.
 
 Detection-to-track association solves a gated minimum-cost assignment
-(`scipy.optimize.linear_sum_assignment` when scipy is importable, the
-in-repo :func:`hungarian_assignment` otherwise); a greedy
-closest-pair-first mode is kept as ``TrackerConfig(association="greedy")``.
+(`scipy.optimize.linear_sum_assignment`); a greedy closest-pair-first mode is kept as ``TrackerConfig(association="greedy")``.
 All candidate orderings are canonicalized, so tracks — including their
 persistent IDs — are independent of detection input order.
 """
@@ -32,17 +30,13 @@ import dataclasses
 from typing import Any, Callable
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from repro.errors import ConfigurationError, TrackingError
 from repro.radar.antenna import UniformLinearArray
 from repro.radar.processing import RangeAngleProfile
 from repro.signal.filtering import smooth_trajectory
 from repro.types import Trajectory
-
-try:  # pragma: no cover - exercised via the import-time branch taken
-    from scipy.optimize import linear_sum_assignment as _scipy_assignment
-except ImportError:  # pragma: no cover - container always has scipy
-    _scipy_assignment = None
 
 __all__ = [
     "ASSOCIATION_MODES",
@@ -51,7 +45,6 @@ __all__ = [
     "Track",
     "TrackerConfig",
     "extract_tracks",
-    "hungarian_assignment",
     "track_detections",
 ]
 
@@ -345,94 +338,8 @@ class Track:
 
 
 # --------------------------------------------------------------------------
-# Assignment solvers
+# Association
 # --------------------------------------------------------------------------
-
-
-def hungarian_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Minimum-cost rectangular assignment (in-repo Hungarian solver).
-
-    A dependency-free stand-in for ``scipy.optimize.linear_sum_assignment``
-    (the potentials/augmenting-path formulation, O(n^2 m)): returns
-    ``(row_indices, col_indices)`` of an assignment of every row (or every
-    column, whichever side is smaller) minimizing the summed cost, with
-    rows sorted ascending. Property-tested cost-equal to scipy in
-    ``tests/test_property_tracker.py``.
-    """
-    matrix = np.asarray(cost, dtype=float)
-    if matrix.ndim != 2:
-        raise TrackingError(
-            f"cost matrix must be 2-D, got shape {matrix.shape}"
-        )
-    if matrix.size == 0:
-        return (np.empty(0, dtype=np.intp), np.empty(0, dtype=np.intp))
-    if not np.all(np.isfinite(matrix)):
-        raise TrackingError("cost matrix entries must be finite")
-    transposed = matrix.shape[0] > matrix.shape[1]
-    if transposed:
-        matrix = matrix.T
-    num_rows, num_cols = matrix.shape
-
-    # 1-based potentials formulation; column 0 is the virtual free column.
-    row_potential = np.zeros(num_rows + 1, dtype=float)
-    col_potential = np.zeros(num_cols + 1, dtype=float)
-    matched_row = np.zeros(num_cols + 1, dtype=np.intp)  # col -> row, 0=free
-    predecessor = np.zeros(num_cols + 1, dtype=np.intp)
-    for row in range(1, num_rows + 1):
-        matched_row[0] = row
-        active_col = 0
-        min_reduced = np.full(num_cols + 1, np.inf, dtype=np.float64)
-        visited = np.zeros(num_cols + 1, dtype=bool)
-        while True:
-            visited[active_col] = True
-            pivot_row = matched_row[active_col]
-            delta = np.inf
-            next_col = 0
-            for col in range(1, num_cols + 1):
-                if visited[col]:
-                    continue
-                reduced = (matrix[pivot_row - 1, col - 1]
-                           - row_potential[pivot_row] - col_potential[col])
-                if reduced < min_reduced[col]:
-                    min_reduced[col] = reduced
-                    predecessor[col] = active_col
-                if min_reduced[col] < delta:
-                    delta = min_reduced[col]
-                    next_col = col
-            for col in range(num_cols + 1):
-                if visited[col]:
-                    row_potential[matched_row[col]] += delta
-                    col_potential[col] -= delta
-                else:
-                    min_reduced[col] -= delta
-            active_col = next_col
-            if matched_row[active_col] == 0:
-                break
-        while active_col:
-            previous_col = predecessor[active_col]
-            matched_row[active_col] = matched_row[previous_col]
-            active_col = previous_col
-
-    rows = []
-    cols = []
-    for col in range(1, num_cols + 1):
-        if matched_row[col]:
-            rows.append(int(matched_row[col]) - 1)
-            cols.append(col - 1)
-    order = np.argsort(np.asarray(rows, dtype=np.intp), kind="stable")
-    row_indices = np.asarray(rows, dtype=np.intp)[order]
-    col_indices = np.asarray(cols, dtype=np.intp)[order]
-    if transposed:
-        return col_indices, row_indices
-    return row_indices, col_indices
-
-
-def _assign_min_cost(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dispatch to scipy's assignment solver, or the in-repo fallback."""
-    if _scipy_assignment is not None:
-        rows, cols = _scipy_assignment(cost)
-        return np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp)
-    return hungarian_assignment(cost)
 
 
 def _associate_hungarian(predictions: np.ndarray,
@@ -457,7 +364,7 @@ def _associate_hungarian(predictions: np.ndarray,
     # k-1: the penalty exceeds the largest possible sum of in-gate costs.
     penalty = (min(num_tracks, num_detections) + 1.0) * (gate_distance + 1.0)
     cost = np.where(infeasible, penalty, distances)
-    rows, cols = _assign_min_cost(cost)
+    rows, cols = linear_sum_assignment(cost)
     return [(int(ti), int(di)) for ti, di in zip(rows, cols)
             if not infeasible[ti, di]]
 

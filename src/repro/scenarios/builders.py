@@ -4,8 +4,7 @@ Everything downstream — experiments, the serve demo workload, golden
 digests — constructs deployments through :func:`build` (or the
 :class:`Environment` helpers it returns). The rflint rule **RFP016**
 enforces that: direct ``Scene(...)``/``Environment(...)`` construction in
-experiment or serve code is rejected, the same registry-only discipline
-RFP009 applies to backend dispatch.
+experiment or serve code is rejected.
 
 Seeding is worker-count independent: one ``np.random.SeedSequence`` per
 built scenario spawns a child stream per human (by index) plus one for
@@ -173,7 +172,7 @@ ReflectorStrategy = Callable[
 ]
 
 #: Registered reflector strategies, keyed by ``ReflectorSpec.kind``. The
-#: single dispatch point for defense deployment (RFP009-style discipline).
+#: single dispatch point for defense deployment.
 REFLECTOR_STRATEGIES: dict[str, ReflectorStrategy] = {}
 
 

@@ -9,9 +9,10 @@ one simulation host. This package turns the core into a *service*:
   shapes (scene + radar config + seed in; result + serving telemetry out).
 - :class:`MicroBatcher` — the pure pull-based batching policy.
 - :mod:`repro.serve.engine` — fused multi-request execution on the
-  vectorized synthesis/receive kernels, with per-request naive fallback.
+  batched synthesis/receive kernels, re-running requests alone when a
+  batch fails.
 - :class:`SenseService` — the asyncio scheduler: bounded admission,
-  deadlines, worker pool, graceful degradation.
+  deadlines, worker pool, fault isolation.
 - :class:`InProcessClient` — a synchronous facade for non-async callers.
 - :class:`MetricsRegistry` — counters/gauges/histograms with JSON export.
 - :class:`SessionStore` / :class:`TrackRequest` — long-lived tracking

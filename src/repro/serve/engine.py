@@ -2,8 +2,8 @@
 
 This is the synchronous compute half of the service (the scheduler half
 lives in :mod:`repro.serve.service`); workers call :func:`execute_batch`
-from the executor thread pool. The fused path rides the PR 1/PR 3
-vectorized engines end to end:
+from the executor thread pool. The fused path rides the batched synthesis
+and receive engines end to end:
 
 1. **Emission** — each request's scene components and thermal noise are
    drawn frame-by-frame from that request's *own* seeded generator, in the
@@ -27,15 +27,16 @@ vectorized engines end to end:
    GEMM output, so a caller keeping one response keeps only that
    request's bytes, never its batch-mates'.
 
-The fused passes are bound as explicit kernels of the stage graph
-(:mod:`repro.radar.stages`) and run through the same instrumented
-executor as every direct ``sense`` call, so served batches show up in the
-identical per-stage wall-time histograms.
+The fused passes form a plan of the stage graph (:mod:`repro.radar.stages`)
+and run through the same instrumented executor as every direct ``sense``
+call, so served batches show up in the identical per-stage wall-time
+histograms.
 
-If anything in the fused path raises, :func:`execute_batch` degrades
-gracefully: each request is retried alone on the reference kernels
-(``synth="naive", pipeline="naive"``), isolating a poisoned request while
-the rest of the batch still completes.
+If anything in the fused path raises, :func:`execute_batch` isolates the
+fault: each request is re-run alone through the same fused plan, so only a
+poisoned request fails while its batch-mates still complete — with results
+bitwise equal to the batched ones, since a request's output never depends
+on its grouping.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from repro.radar.pipeline import (
 )
 from repro.radar.processing import ZERO_PAD_FACTOR, range_keep_mask
 from repro.radar.radar import FmcwRadar, SensingResult
-from repro.radar.stages import ExecutionContext, Stage, StageBinding, execute
+from repro.radar.stages import ExecutionContext, Stage, execute
 from repro.serve.request import (
     BACKEND_NAIVE_FALLBACK,
     BACKEND_VECTORIZED,
@@ -209,13 +210,12 @@ def _fused_beamform(ctx: ExecutionContext) -> None:
 
 #: The fused batch plan: the same stage sequence as a direct sense call,
 #: bound to multi-request kernels and instrumented under the same stages.
-_FUSED_PLAN: tuple[StageBinding, ...] = (
-    StageBinding(Stage.EMIT, backend="fused", kernel=_fused_emit),
-    StageBinding(Stage.SYNTHESIZE, backend="fused", kernel=_fused_synthesize),
-    StageBinding(Stage.RANGE_FFT, backend="fused", kernel=_fused_range_fft),
-    StageBinding(Stage.BACKGROUND_SUBTRACT, backend="fused",
-                 kernel=_fused_subtract),
-    StageBinding(Stage.BEAMFORM, backend="fused", kernel=_fused_beamform),
+_FUSED_PLAN = (
+    (Stage.EMIT, _fused_emit),
+    (Stage.SYNTHESIZE, _fused_synthesize),
+    (Stage.RANGE_FFT, _fused_range_fft),
+    (Stage.BACKGROUND_SUBTRACT, _fused_subtract),
+    (Stage.BEAMFORM, _fused_beamform),
 )
 
 
@@ -254,23 +254,12 @@ def _run_group_vectorized(key: BatchKey,
     return results
 
 
-def _run_single_naive(item: ExecutionItem) -> SensingResult:
-    """The degradation path: one request on the reference kernels."""
-    request = item.request
-    radar = radar_for(item.key.config)
-    rng = np.random.default_rng(request.seed)
-    return radar.sense(request.scene, request.duration, rng=rng,
-                       start_time=request.start_time,
-                       max_range=item.key.max_range,
-                       synth="naive", pipeline="naive")
-
-
 def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
     """Execute one taken batch; never raises, reports per-item outcomes.
 
-    Tries the fused vectorized path for the whole group first; on any
-    failure, degrades to per-request naive execution so a single poisoned
-    request cannot take its batch-mates down with it.
+    Tries the fused path for the whole group first; on any failure, re-runs
+    each request alone through the same path so a single poisoned request
+    cannot take its batch-mates down with it.
     """
     if not items:
         return []
@@ -281,11 +270,11 @@ def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
         results = _run_group_vectorized(key, items)
     except Exception as error:
         logger.warning(
-            "vectorized batch path failed for %d request(s) (%s: %s); "
-            "degrading to the naive backend",
+            "fused batch of %d request(s) failed (%s: %s); "
+            "re-running each request alone",
             len(items), type(error).__name__, error,
         )
-        return [_fallback_outcome(item) for item in items]
+        return [_isolated_outcome(key, item) for item in items]
     return [
         ExecutionOutcome(request_id=item.request_id, result=result,
                          backend=BACKEND_VECTORIZED)
@@ -293,11 +282,11 @@ def execute_batch(items: Sequence[ExecutionItem]) -> list[ExecutionOutcome]:
     ]
 
 
-def _fallback_outcome(item: ExecutionItem) -> ExecutionOutcome:
+def _isolated_outcome(key: BatchKey, item: ExecutionItem) -> ExecutionOutcome:
     try:
-        result = _run_single_naive(item)
+        [result] = _run_group_vectorized(key, [item])
     except Exception as error:  # surfaced per request, not swallowed
-        logger.warning("naive fallback failed for request %d (%s: %s)",
+        logger.warning("isolated re-run failed for request %d (%s: %s)",
                        item.request_id, type(error).__name__, error)
         return ExecutionOutcome(request_id=item.request_id, result=None,
                                 backend=BACKEND_NAIVE_FALLBACK, error=error)

@@ -34,9 +34,11 @@ __all__ = [
 ]
 
 
-#: How a served request was ultimately executed.
+#: How a served request was ultimately executed: in its fused batch, or
+#: re-run alone after its batch failed. The second constant keeps its
+#: historical name; the re-run uses the same fused kernels as the batch.
 BACKEND_VECTORIZED = "vectorized"
-BACKEND_NAIVE_FALLBACK = "naive-fallback"
+BACKEND_NAIVE_FALLBACK = "isolated-rerun"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -118,8 +120,8 @@ class SenseResponse:
         result: the :class:`SensingResult`, bitwise identical to a direct
             ``FmcwRadar.sense`` call with the same request parameters.
         backend: ``"vectorized"`` for the fused batch path or
-            ``"naive-fallback"`` when the service degraded to the reference
-            kernels after a vectorized failure.
+            ``"isolated-rerun"`` when the fused batch failed and this
+            request was re-run alone through the same fused path.
         batch_size: how many requests shared this request's batch.
         queued_s: admission -> execution-start wait, seconds.
         total_s: admission -> completion latency, seconds.

@@ -23,10 +23,10 @@ real compute:
   failed with :class:`~repro.errors.DeadlineExceededError` *before* any
   compute is spent on it, and a caller that cancels its future simply
   never gets resolved (its batch-mates are unaffected).
-- **Graceful degradation** — execution is delegated to
-  :func:`repro.serve.engine.execute_batch`, which falls back to the naive
-  reference kernels per request if the fused vectorized path raises; the
-  fallback is visible in the ``batches.fallback`` counter and each
+- **Fault isolation** — execution is delegated to
+  :func:`repro.serve.engine.execute_batch`, which re-runs each request
+  alone if the fused batch raises, so only the poisoned request fails; the
+  re-run is visible in the ``batches.fallback`` counter and each
   response's ``backend`` field.
 - **Tracking sessions** — :meth:`SenseService.submit_tracked` senses
   through the same admission/batching path, then ingests the resulting

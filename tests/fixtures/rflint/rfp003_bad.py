@@ -4,8 +4,8 @@ import os
 from os import environ, getenv
 
 
-def backend() -> str:
-    direct = os.environ.get("RF_PROTECT_SYNTH", "vectorized")
-    via_getenv = getenv("RF_PROTECT_SYNTH")
-    subscripted = environ["RF_PROTECT_SYNTH"]
+def dtype() -> str:
+    direct = os.environ.get("RF_PROTECT_NN_DTYPE", "float64")
+    via_getenv = getenv("RF_PROTECT_NN_DTYPE")
+    subscripted = environ["RF_PROTECT_NN_DTYPE"]
     return via_getenv or subscripted or direct

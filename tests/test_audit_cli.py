@@ -57,7 +57,7 @@ class TestRunnerWiring:
         provenance = record.payload["provenance"]
         assert provenance["package_version"]
         assert provenance["config_hash"]
-        assert "RF_PROTECT_SYNTH" in provenance["config"]
+        assert "RF_PROTECT_NN_DTYPE" in provenance["config"]
         summary = record.payload["result_summary"]
         assert "median_errors_m" in summary
 

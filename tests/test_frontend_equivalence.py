@@ -1,7 +1,8 @@
 """Golden equivalence suite: vectorized vs naive frame synthesis.
 
 The batched engine in `repro.radar.batch` is only trusted because these
-tests pin it to the reference per-component kernel at ``atol=1e-10``
+tests pin it to the reference per-component loop
+(`repro.radar.reference.synthesize_frame_naive`) at ``atol=1e-10``
 across randomized component sets, every ``PathComponent`` field, the empty
 frame, noise streams, and the super-Nyquist drop rule.
 """
@@ -19,14 +20,11 @@ from repro.radar import (
     Scene,
     UniformLinearArray,
     pack_components,
-    synthesis_backend,
-    synthesize_frame,
-    synthesize_frame_naive,
     synthesize_frame_vectorized,
     synthesize_frames,
 )
-from repro.errors import ConfigurationError
 from repro.geometry import Rectangle
+from repro.radar.reference import reference_sense, synthesize_frame_naive
 
 ATOL = 1e-10
 
@@ -149,27 +147,6 @@ class TestNyquistDropParity:
         assert all(r.levelname == "DEBUG" for r in drops)
 
 
-class TestBackendDispatch:
-    def test_env_toggle_selects_backend(self, config, array, monkeypatch):
-        components = random_components(np.random.default_rng(5), 7, config)
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "naive")
-        assert synthesis_backend() == "naive"
-        naive = synthesize_frame(components, config, array, None)
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "vectorized")
-        assert synthesis_backend() == "vectorized"
-        vectorized = synthesize_frame(components, config, array, None)
-        np.testing.assert_allclose(vectorized, naive, atol=ATOL)
-
-    def test_default_backend_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("RF_PROTECT_SYNTH", raising=False)
-        assert synthesis_backend() == "vectorized"
-
-    def test_invalid_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_SYNTH", "turbo")
-        with pytest.raises(ConfigurationError, match="RF_PROTECT_SYNTH"):
-            synthesis_backend()
-
-
 class TestSweepEquivalence:
     def test_sweep_matches_per_frame_synthesis(self, config, array):
         rng = np.random.default_rng(11)
@@ -191,19 +168,15 @@ class TestSweepEquivalence:
                                                     single_rng)
             np.testing.assert_array_equal(frame, reference)
 
-    def test_sense_is_backend_independent(self, monkeypatch):
-        """A full sensing session reproduces bit-compatibly per backend."""
-        room = Rectangle(0.0, 0.0, 8.0, 6.0)
-        results = {}
-        for backend in ("naive", "vectorized"):
-            monkeypatch.setenv("RF_PROTECT_SYNTH", backend)
-            scene = Scene(room)
-            scene.add_static((2.0, 3.0))
-            scene.add_static((5.0, 4.0), rcs=0.5)
-            radar = FmcwRadar()
-            results[backend] = radar.sense(scene, 0.5,
-                                           rng=np.random.default_rng(21))
-        naive, vectorized = results["naive"], results["vectorized"]
+    def test_sense_is_backend_independent(self):
+        """A full sensing session matches its reference-loop run."""
+        scene = Scene(Rectangle(0.0, 0.0, 8.0, 6.0))
+        scene.add_static((2.0, 3.0))
+        scene.add_static((5.0, 4.0), rcs=0.5)
+        radar = FmcwRadar()
+        naive = reference_sense(radar, scene, 0.5,
+                                rng=np.random.default_rng(21))
+        vectorized = radar.sense(scene, 0.5, rng=np.random.default_rng(21))
         np.testing.assert_allclose(vectorized.raw_profiles,
                                    naive.raw_profiles, atol=1e-8)
         for p_vec, p_naive in zip(vectorized.profiles, naive.profiles):

@@ -1,5 +1,9 @@
 """Golden regression digests for GAN training steps, per backend × dtype.
 
+The ``fused`` backend is production; ``naive`` runs the same trainer with
+the per-step reference scan (:mod:`repro.nn.reference`) substituted for
+the fused LSTM op.
+
 Same contract as the range-angle/tracker digests: a short fixed-seed
 training run's loss trajectory is pinned against a checked-in fixture.
 Any change to the autograd engine, the sequence kernels, the dtype policy,
@@ -26,7 +30,8 @@ import numpy as np
 import pytest
 
 from repro.gan.trainer import GanConfig, GanTrainer
-from repro.nn import dtype_scope, sequence_backend_scope
+from repro.nn import dtype_scope, recurrent
+from repro.nn.reference import reference_lstm_sequence
 from repro.trajectories import HumanMotionSimulator
 
 GOLDEN_PATH = (Path(__file__).resolve().parent
@@ -49,7 +54,9 @@ def compute_digest(backend: str, dtype: str) -> dict[str, list[float]]:
     config = GanConfig(noise_dim=6, hidden_size=10, embed_dim=4,
                        feature_dim=8, batch_size=16, epochs=1,
                        dropout_probability=0.0, seed=1)
-    with dtype_scope(dtype), sequence_backend_scope(backend):
+    with dtype_scope(dtype), pytest.MonkeyPatch.context() as patch:
+        if backend == "naive":
+            patch.setattr(recurrent, "lstm_sequence", reference_lstm_sequence)
         trainer = GanTrainer(dataset, config)
         history = trainer.train(epochs=1)
     return {

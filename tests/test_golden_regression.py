@@ -1,12 +1,14 @@
 """Golden regression suite: checked-in digests of the range-angle cubes.
 
-The equivalence suites pin the backends against *each other*; this suite
-pins them against *history*. One FMCW scene and one pulsed scene are
-sensed per backend and summarized into a small digest (shapes, cube
-statistics, probe cells, raw-profile mass) that is compared against the
-checked-in fixture at tight relative tolerance. Any numerical drift in
-the stage-graph kernels — a reordered reduction, a changed crop, a new
-window — shows up here even if both backends drift together.
+The equivalence suites pin the production kernels against the reference
+loops (:mod:`repro.radar.reference`); this suite pins both against
+*history*. One FMCW scene and one pulsed scene are sensed by each —
+``vectorized`` is the production ``sense`` call, ``naive`` the reference
+run — and summarized into a small digest (shapes, cube statistics, probe
+cells, raw-profile mass) that is compared against the checked-in fixture
+at tight relative tolerance. Any numerical drift in the stage-graph
+kernels — a reordered reduction, a changed crop, a new window — shows up
+here even if both implementations drift together.
 
 Regenerate after an *intentional* change with::
 
@@ -31,6 +33,7 @@ from repro.radar import (
     RadarConfig,
     Scene,
 )
+from repro.radar.reference import reference_pulsed_sense, reference_sense
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
 
@@ -41,6 +44,7 @@ TRACKER_GOLDEN_PATH = (Path(__file__).resolve().parent
 
 RTOL = 1e-7
 
+#: Fixture keys: ``naive`` is the reference run, ``vectorized`` production.
 BACKENDS = ("naive", "vectorized")
 
 #: Probe cells as fractional (frame, bin, angle) coordinates, scaled to
@@ -79,8 +83,8 @@ def pulsed_scene() -> Scene:
 def sense_fmcw(backend: str):
     radar = FmcwRadar(RadarConfig(chirp=ChirpConfig(duration=6.4e-5)))
     rng = np.random.default_rng(2022)
-    return radar.sense(fmcw_scene(), 1.2, rng=rng,
-                       synth=backend, pipeline=backend)
+    sense = reference_sense if backend == "naive" else FmcwRadar.sense
+    return sense(radar, fmcw_scene(), 1.2, rng=rng)
 
 
 def sense_pulsed(backend: str):
@@ -88,7 +92,8 @@ def sense_pulsed(backend: str):
                                           bandwidth=1.0e9,
                                           max_range=12.0))
     rng = np.random.default_rng(1337)
-    return radar.sense(pulsed_scene(), 1.2, rng=rng, pipeline=backend)
+    sense = reference_pulsed_sense if backend == "naive" else PulsedRadar.sense
+    return sense(radar, pulsed_scene(), 1.2, rng=rng)
 
 
 def digest(result) -> dict:

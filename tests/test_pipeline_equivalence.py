@@ -3,9 +3,9 @@
 The batched engine in `repro.radar.pipeline` is only trusted because these
 tests pin every stage — cube FFT, shifted-difference background
 subtraction, lag-domain Eq. 2 beamforming — and the full ``sense`` paths
-(FMCW and pulsed) to the per-frame reference backend at ``atol=1e-10``,
-with and without noise, plus the ``RF_PROTECT_PIPELINE`` dispatch rules
-and the read-only invariants of the shared sweep planes.
+(FMCW and pulsed) to the per-frame reference loops
+(`repro.radar.reference`) at ``atol=1e-10``, with and without noise, plus
+the read-only invariants of the shared sweep planes.
 """
 
 from __future__ import annotations
@@ -13,8 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ENV_REGISTRY, get_pipeline_backend
-from repro.errors import ConfigurationError, SignalProcessingError
+from repro.errors import SignalProcessingError
 from repro.geometry import Rectangle
 from repro.radar import (
     ZERO_PAD_FACTOR,
@@ -28,10 +27,14 @@ from repro.radar import (
     batched_beamform_power,
     batched_range_profiles,
     frame_range_profiles,
-    pipeline_backend,
     process_sweep,
 )
 from repro.radar import pipeline as pipeline_module
+from repro.radar.reference import (
+    reference_pulsed_sense,
+    reference_receive,
+    reference_sense,
+)
 from repro.signal.chirp import ChirpConfig
 from repro.types import Trajectory
 
@@ -109,8 +112,7 @@ class TestStageEquivalence:
         radar = FmcwRadar(config)
         cube = random_cube(5, 8, config)
         times = np.arange(8) / config.frame_rate
-        naive_profiles, naive_raw = radar._process_sweep_naive(
-            times, cube, 6.0)
+        naive_profiles, naive_raw = reference_receive(radar, times, cube, 6.0)
         sweep = process_sweep(cube, config, radar.array, times, max_range=6.0)
         np.testing.assert_allclose(sweep.raw_profiles, naive_raw, atol=ATOL)
         for ours, reference in zip(sweep.profiles(), naive_profiles):
@@ -150,14 +152,12 @@ class TestStageValidation:
 
 class TestSenseEquivalence:
     @pytest.mark.parametrize("noise_std", [0.0, 5e-4])
-    def test_fmcw_sense_is_backend_independent(self, monkeypatch, noise_std):
-        results = {}
-        for backend in ("naive", "vectorized"):
-            monkeypatch.setenv("RF_PROTECT_PIPELINE", backend)
-            radar = FmcwRadar(RadarConfig(noise_std=noise_std))
-            results[backend] = radar.sense(walking_scene(), 1.2,
-                                           rng=np.random.default_rng(17))
-        naive, vectorized = results["naive"], results["vectorized"]
+    def test_fmcw_sense_is_backend_independent(self, noise_std):
+        radar = FmcwRadar(RadarConfig(noise_std=noise_std))
+        naive = reference_sense(radar, walking_scene(), 1.2,
+                                rng=np.random.default_rng(17))
+        vectorized = radar.sense(walking_scene(), 1.2,
+                                 rng=np.random.default_rng(17))
         np.testing.assert_allclose(vectorized.raw_profiles,
                                    naive.raw_profiles, atol=ATOL)
         assert len(vectorized.profiles) == len(naive.profiles)
@@ -167,13 +167,12 @@ class TestSenseEquivalence:
             np.testing.assert_array_equal(p_vec.angles, p_naive.angles)
             assert p_vec.time == p_naive.time
 
-    def test_pulsed_sense_is_backend_independent(self, monkeypatch):
-        results = {}
-        for backend in ("naive", "vectorized"):
-            monkeypatch.setenv("RF_PROTECT_PIPELINE", backend)
-            results[backend] = PulsedRadar().sense(
-                walking_scene(), 1.0, rng=np.random.default_rng(23))
-        naive, vectorized = results["naive"], results["vectorized"]
+    def test_pulsed_sense_is_backend_independent(self):
+        radar = PulsedRadar()
+        naive = reference_pulsed_sense(radar, walking_scene(), 1.0,
+                                       rng=np.random.default_rng(23))
+        vectorized = radar.sense(walking_scene(), 1.0,
+                                 rng=np.random.default_rng(23))
         for p_vec, p_naive in zip(vectorized.profiles, naive.profiles):
             np.testing.assert_allclose(p_vec.power, p_naive.power, atol=ATOL)
             np.testing.assert_array_equal(p_vec.ranges, p_naive.ranges)
@@ -183,18 +182,13 @@ class TestSenseEquivalence:
 class TestSensingResultInvariants:
     @pytest.fixture(scope="class")
     def both_results(self):
-        # The built-in monkeypatch fixture is function-scoped; patch
-        # manually so the (expensive) sensing runs happen once per class.
-        patcher = pytest.MonkeyPatch()
-        results = {}
-        try:
-            for backend in ("naive", "vectorized"):
-                patcher.setenv("RF_PROTECT_PIPELINE", backend)
-                results[backend] = FmcwRadar().sense(
-                    walking_scene(), 3.0, rng=np.random.default_rng(29))
-        finally:
-            patcher.undo()
-        return results
+        radar = FmcwRadar()
+        return {
+            "naive": reference_sense(radar, walking_scene(), 3.0,
+                                     rng=np.random.default_rng(29)),
+            "vectorized": radar.sense(walking_scene(), 3.0,
+                                      rng=np.random.default_rng(29)),
+        }
 
     def test_phase_series_identical(self, both_results):
         naive = both_results["naive"].phase_series(3.0)
@@ -244,27 +238,3 @@ class TestZeroPadSingleSource:
         profiles = batched_range_profiles(cube, config)
         assert (profiles.shape[-1]
                 == config.chirp.num_samples * ZERO_PAD_FACTOR // 2)
-
-
-class TestBackendDispatch:
-    def test_env_toggle_selects_backend(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "naive")
-        assert pipeline_backend() == "naive"
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "vectorized")
-        assert pipeline_backend() == "vectorized"
-
-    def test_default_backend_is_vectorized(self, monkeypatch):
-        monkeypatch.delenv("RF_PROTECT_PIPELINE", raising=False)
-        assert pipeline_backend() == "vectorized"
-
-    def test_invalid_backend_rejected(self, monkeypatch):
-        monkeypatch.setenv("RF_PROTECT_PIPELINE", "turbo")
-        with pytest.raises(ConfigurationError, match="RF_PROTECT_PIPELINE"):
-            pipeline_backend()
-
-    def test_parse_is_case_insensitive(self):
-        value = get_pipeline_backend(environ={"RF_PROTECT_PIPELINE": "NAIVE"})
-        assert value == "naive"
-
-    def test_variable_is_registered(self):
-        assert "RF_PROTECT_PIPELINE" in ENV_REGISTRY

@@ -1,7 +1,9 @@
 """Property suite pinning the fused LSTM sequence kernel to the naive path.
 
 The fused :func:`repro.nn.functional.lstm_sequence` op is only allowed to
-exist because it is indistinguishable from the per-step reference: for any
+exist because it is indistinguishable from the per-step reference scan
+(:func:`repro.nn.reference.reference_lstm_sequence`, substituted for the
+fused op inside :mod:`repro.nn.recurrent` to run the naive path): for any
 shape, dtype, initial state, and loss, forward outputs and every gradient
 (inputs, weights, bias, initial state) must agree within dtype-matched
 tolerances. Hypothesis sweeps T×B×H (and layer counts through the `LSTM`
@@ -16,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import LSTM, Tensor, dtype_scope, sequence_backend_scope
+from repro.nn import LSTM, Tensor, dtype_scope, recurrent
 from repro.nn.functional import flip_sequence, lstm_sequence, repeat_sequence
 from repro.nn.recurrent import LSTMCell
+from repro.nn.reference import reference_lstm_sequence
 from tests.test_nn_tensor import numerical_gradient
 
 #: Forward/backward agreement tolerance per dtype. float64 disagreement is
@@ -38,12 +41,19 @@ def _lstm_case(seed: int, seq_len: int, batch: int, hidden: int,
     return lstm, inputs
 
 
+def _forward(lstm: LSTM, backend: str, *args):
+    """``lstm.forward_sequence(*args)`` on the fused op or the naive scan."""
+    with pytest.MonkeyPatch.context() as patch:
+        if backend == "naive":
+            patch.setattr(recurrent, "lstm_sequence", reference_lstm_sequence)
+        return lstm.forward_sequence(*args)
+
+
 def _run(lstm: LSTM, inputs: Tensor, backend: str):
     """One forward+backward; returns (output, input grad, param grads)."""
     lstm.zero_grad()
     inputs.zero_grad()
-    with sequence_backend_scope(backend):
-        out = lstm.forward_sequence(inputs)
+    out = _forward(lstm, backend, inputs)
     # A non-uniform loss so every timestep's gradient path is distinct.
     weights = Tensor(
         np.linspace(0.5, 1.5, out.size).reshape(out.shape),
@@ -100,8 +110,7 @@ def test_fused_matches_naive_with_nonzero_initial_state(
             (batch, hidden)), requires_grad=True)
         c0 = Tensor(np.random.default_rng(seed + 3).standard_normal(
             (batch, hidden)), requires_grad=True)
-        with sequence_backend_scope(backend):
-            out = lstm.forward_sequence(inputs, [(h0, c0)])
+        out = _forward(lstm, backend, inputs, [(h0, c0)])
         out.pow(2.0).mean().backward()
         assert h0.grad is not None and c0.grad is not None
         results[backend] = (out.data.copy(), h0.grad.copy(), c0.grad.copy())
@@ -165,8 +174,7 @@ def test_float32_run_stays_float32_end_to_end():
         lstm = LSTM(4, 5, np.random.default_rng(0), num_layers=2)
         x = Tensor(np.random.default_rng(1).standard_normal((3, 2, 4)),
                    requires_grad=True)
-        with sequence_backend_scope("fused"):
-            out = lstm.forward_sequence(x)
+        out = lstm.forward_sequence(x)
         out.mean().backward()
         assert out.dtype == np.float32
         assert x.grad is not None and x.grad.dtype == np.float32

@@ -11,9 +11,8 @@ path, a smarter streaming association) with hypothesis-generated scenes:
 frames, measurement noise.
 
 Also pinned here: association is independent of detection input order
-(canonical ordering), checkpoint/restore is exact mid-stream (including a
-JSON round trip), and the in-repo Hungarian fallback is cost-equal to
-``scipy.optimize.linear_sum_assignment``.
+(canonical ordering) and checkpoint/restore is exact mid-stream (including
+a JSON round trip).
 """
 
 from __future__ import annotations
@@ -29,14 +28,8 @@ from repro.errors import TrackingError
 from repro.radar.tracker import (
     StreamingTracker,
     TrackerConfig,
-    hungarian_assignment,
     track_detections,
 )
-
-try:
-    from scipy.optimize import linear_sum_assignment
-except ImportError:  # pragma: no cover - container always has scipy
-    linear_sum_assignment = None
 
 COMMON_SETTINGS = settings(
     max_examples=40, deadline=None,
@@ -196,40 +189,3 @@ class TestOrderIndependence:
         tracker.ingest_detections(1.0, [])
         with pytest.raises(TrackingError):
             tracker.ingest_detections(0.5, [])
-
-
-class TestHungarianFallback:
-    @COMMON_SETTINGS
-    @given(rows=st.integers(1, 7), cols=st.integers(1, 7),
-           seed=st.integers(0, 2**31 - 1))
-    def test_cost_equals_scipy(self, rows, cols, seed):
-        if linear_sum_assignment is None:
-            pytest.skip("scipy not available")
-        cost = np.random.default_rng(seed).uniform(0.0, 10.0, (rows, cols))
-        ours_r, ours_c = hungarian_assignment(cost)
-        ref_r, ref_c = linear_sum_assignment(cost)
-        assert cost[ours_r, ours_c].sum() == pytest.approx(
-            cost[ref_r, ref_c].sum(), abs=1e-9
-        )
-
-    @COMMON_SETTINGS
-    @given(rows=st.integers(1, 7), cols=st.integers(1, 7),
-           seed=st.integers(0, 2**31 - 1))
-    def test_assignment_is_valid(self, rows, cols, seed):
-        cost = np.random.default_rng(seed).uniform(0.0, 10.0, (rows, cols))
-        assigned_r, assigned_c = hungarian_assignment(cost)
-        assert len(assigned_r) == min(rows, cols)
-        assert len(set(assigned_r.tolist())) == len(assigned_r)
-        assert len(set(assigned_c.tolist())) == len(assigned_c)
-        assert np.all((assigned_r >= 0) & (assigned_r < rows))
-        assert np.all((assigned_c >= 0) & (assigned_c < cols))
-
-    def test_empty_and_invalid_inputs(self):
-        empty_r, empty_c = hungarian_assignment(np.empty((0, 3)))
-        assert len(empty_r) == 0 and len(empty_c) == 0
-        with pytest.raises(TrackingError):
-            hungarian_assignment(np.zeros(3, dtype=np.float64))
-        with pytest.raises(TrackingError):
-            hungarian_assignment(
-                np.array([[np.inf, 1.0]], dtype=np.float64)
-            )

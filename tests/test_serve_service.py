@@ -4,13 +4,14 @@ Pins the subsystem's four contracts:
 
 - **equivalence/determinism** — served results are bitwise identical to
   direct ``FmcwRadar.sense`` calls with the same parameters, for any
-  submission order and any batch grouping (and inside 1e-10 of the naive
-  reference, transitively via the pinned pipeline equivalence);
+  submission order and any batch grouping, and inside 1e-10 of the
+  reference loops (`repro.radar.reference`);
 - **saturation** — a full admission queue rejects with
   ``ServiceOverloadedError``; expired deadlines cancel queued work with
   ``DeadlineExceededError`` before compute is spent;
-- **degradation** — a vectorized-path failure falls back to the naive
-  kernels per request, visibly (response backend + fallback counter);
+- **fault isolation** — when a fused batch fails, each request is re-run
+  alone, so only the poisoned one fails, visibly (response backend +
+  fallback counter);
 - **telemetry** — the metrics snapshot reports counts, batch sizes, and
   latency percentiles as JSON.
 """
@@ -30,9 +31,11 @@ from repro.errors import (
     DeadlineExceededError,
     ServiceClosedError,
     ServiceOverloadedError,
+    SignalProcessingError,
 )
 from repro.geometry import Rectangle
 from repro.radar import FmcwRadar, RadarConfig, Scene
+from repro.radar.reference import reference_sense
 from repro.serve import (
     BACKEND_NAIVE_FALLBACK,
     BACKEND_VECTORIZED,
@@ -42,6 +45,8 @@ from repro.serve import (
     ServiceConfig,
     TrackRequest,
 )
+from repro.serve.engine import ExecutionItem
+from repro.serve.request import BatchKey
 from repro.signal.chirp import ChirpConfig
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
@@ -93,7 +98,7 @@ class TestRequestValidation:
             SenseRequest(scene=scene, duration=1.0, deadline_s=0.0)
 
     # One such request used to fail its whole fused batch at execution
-    # and re-run every batch-mate on the naive kernels.
+    # and force a re-run of every batch-mate.
     @pytest.mark.parametrize("request_type", [SenseRequest, TrackRequest])
     @pytest.mark.parametrize("overrides, match", [
         ({"duration": float("nan")}, "duration"),
@@ -142,8 +147,8 @@ class TestEquivalenceAndDeterminism:
     def test_equivalence_to_naive_reference_within_1e10(self, scene,
                                                         radar_config):
         radar = FmcwRadar(radar_config)
-        naive = radar.sense(scene, 0.3, rng=np.random.default_rng(11),
-                            synth="naive", pipeline="naive")
+        naive = reference_sense(radar, scene, 0.3,
+                                rng=np.random.default_rng(11))
         with InProcessClient(quick_service_config(),
                              default_radar_config=radar_config) as client:
             served = client.sense(
@@ -431,31 +436,79 @@ class TestSaturationAndDeadlines:
         asyncio.run(run())
 
 
-class TestGracefulDegradation:
-    def test_vectorized_failure_falls_back_to_naive(self, monkeypatch, scene,
-                                                    radar_config):
-        def explode(key, items):
-            raise RuntimeError("injected vectorized failure")
+POISONED_SEED = 4
 
-        monkeypatch.setattr(serve_engine, "_run_group_vectorized", explode)
+
+def poison_seed(monkeypatch, seed: int) -> None:
+    """Make the fused Emit kernel raise for any batch holding ``seed``."""
+    original = FmcwRadar.sweep_components
+
+    def sweep_components(self, scene, times, rng):
+        if rng.bit_generator.seed_seq.entropy == seed:
+            raise SignalProcessingError(f"injected fault for seed {seed}")
+        return original(self, scene, times, rng)
+
+    monkeypatch.setattr(FmcwRadar, "sweep_components", sweep_components)
+
+
+class TestFaultIsolation:
+    def test_batch_mates_rerun_bitwise_equal(self, monkeypatch, scene,
+                                             radar_config):
+        seeds = [3, POISONED_SEED, 5, 6]
+        poison_seed(monkeypatch, POISONED_SEED)
+        key = BatchKey(config=radar_config, max_range=5.0)
+        outcomes = serve_engine.execute_batch([
+            ExecutionItem(request_id=i, key=key,
+                          request=SenseRequest(scene=scene, duration=0.3,
+                                               seed=seed))
+            for i, seed in enumerate(seeds)
+        ])
+
         radar = FmcwRadar(radar_config)
-        expected = radar.sense(scene, 0.3, rng=np.random.default_rng(5),
-                               synth="naive", pipeline="naive")
+        assert [o.backend for o in outcomes] == [BACKEND_NAIVE_FALLBACK] * 4
+        for seed, outcome in zip(seeds, outcomes):
+            if seed == POISONED_SEED:
+                assert outcome.result is None
+                assert isinstance(outcome.error, SignalProcessingError)
+                continue
+            expected = radar.sense(scene, 0.3, max_range=5.0,
+                                   rng=np.random.default_rng(seed))
+            assert outcome.error is None
+            assert np.array_equal(outcome.result.raw_profiles,
+                                  expected.raw_profiles)
+            for got, want in zip(outcome.result.profiles, expected.profiles):
+                assert np.array_equal(got.power, want.power)
+
+    def test_poisoned_request_fails_alone(self, monkeypatch, scene,
+                                          radar_config):
+        seeds = [3, POISONED_SEED, 5, 6]
+        poison_seed(monkeypatch, POISONED_SEED)
+        radar = FmcwRadar(radar_config)
 
         with InProcessClient(quick_service_config(),
                              default_radar_config=radar_config) as client:
-            response = client.sense(
-                SenseRequest(scene=scene, duration=0.3, seed=5)
-            )
+            futures = {
+                seed: client.submit(SenseRequest(scene=scene, duration=0.3,
+                                                 seed=seed))
+                for seed in seeds
+            }
+            with pytest.raises(SignalProcessingError):
+                futures.pop(POISONED_SEED).result(timeout=60)
+            responses = {seed: future.result(timeout=60)
+                         for seed, future in futures.items()}
             snapshot = client.metrics_snapshot()
 
-        assert response.backend == BACKEND_NAIVE_FALLBACK
-        assert np.array_equal(response.result.raw_profiles,
-                              expected.raw_profiles)
-        for got, want in zip(response.result.profiles, expected.profiles):
-            assert np.array_equal(got.power, want.power)
+        for seed, response in responses.items():
+            expected = radar.sense(scene, 0.3,
+                                   rng=np.random.default_rng(seed))
+            assert np.array_equal(response.result.raw_profiles,
+                                  expected.raw_profiles)
+            for got, want in zip(response.result.profiles,
+                                 expected.profiles):
+                assert np.array_equal(got.power, want.power)
         assert snapshot["counters"]["batches.fallback"] >= 1
-        assert snapshot["counters"]["requests.completed"] == 1
+        assert snapshot["counters"]["requests.failed"] == 1
+        assert snapshot["counters"]["requests.completed"] == 3
 
 
 class TestTelemetry:
